@@ -1,6 +1,6 @@
 //! Substrate scaling benches: old O(n²) pairwise topology build vs the
 //! spatial-hash/CSR build, and allocation-free scratch queries, at the
-//! node counts the large-n perf matrix uses (50 paper-scale, 500, 5000).
+//! node counts 50 (paper scale), 500 and 5000.
 //! Node density is held at the paper's (one peer per ~45 000 m²) so the
 //! average degree — and thus per-node work — stays comparable across n;
 //! what changes with n is exactly the build strategy's complexity class.
@@ -8,13 +8,22 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use mp2p_experiments::perf::bench_terrain;
-use mp2p_mobility::Point;
+use mp2p_mobility::{Point, Terrain};
 use mp2p_net::{Topology, TopologyBuilder, TopologyScratch};
 use mp2p_sim::{NodeId, SimRng};
 
 const RANGE: f64 = 250.0;
 const SIZES: [usize; 3] = [50, 500, 5_000];
+
+/// The Table 1 flatland up to 50 peers; beyond, a square holding its
+/// 45 000 m² per peer.
+fn bench_terrain(peers: usize) -> Terrain {
+    if peers <= 50 {
+        return Terrain::paper_default();
+    }
+    let side = (peers as f64 * 45_000.0).sqrt();
+    Terrain::new(side, side)
+}
 
 fn field(n: usize) -> (Vec<Point>, Vec<bool>) {
     let terrain = bench_terrain(n);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! analyze --trace FILE.jsonl [--report FILE.json] [--top N]
-//!         [--consistency] [--baseline FILE.json] [--tolerance X]
+//!         [--consistency]
 //!         [--explain QUERY | --explain --stale-serves] [--health]
 //! ```
 //!
@@ -23,11 +23,6 @@
 //! `--report` is also given, cross-checks the journal-derived blame
 //! counts, sample count and Δ-violations against the report's
 //! `consistency` section (exit 1 on any mismatch).
-//!
-//! `--baseline` gates the report's `fresh_fraction` against a committed
-//! baseline report: the run fails (exit 1) when its fresh fraction drops
-//! more than `--tolerance` (default 0.02) below the baseline's. This is
-//! the consistency half of the CI regression gate.
 //!
 //! `--explain` is the causal root-cause explainer: it walks the
 //! provenance graph (frame births, hops, fates, copy lineage — journal
@@ -54,8 +49,6 @@ struct Args {
     report: Option<std::path::PathBuf>,
     top: usize,
     consistency: bool,
-    baseline: Option<std::path::PathBuf>,
-    tolerance: f64,
     explain: bool,
     explain_query: Option<u64>,
     stale_serves: bool,
@@ -67,7 +60,7 @@ fn parse_args() -> Result<Args, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return Err(
             "usage: analyze --trace FILE.jsonl [--report FILE.json] [--top N] \
-             [--consistency] [--baseline FILE.json] [--tolerance X] \
+             [--consistency] \
              [--explain QUERY | --explain --stale-serves] [--health]"
                 .into(),
         );
@@ -88,16 +81,6 @@ fn parse_args() -> Result<Args, String> {
         None => 10,
     };
     let consistency = args.iter().any(|a| a == "--consistency");
-    let baseline = value_of("--baseline").map(std::path::PathBuf::from);
-    let tolerance = match value_of("--tolerance") {
-        Some(text) => text
-            .parse()
-            .map_err(|_| format!("--tolerance expects a number, got {text:?}"))?,
-        None => 0.02,
-    };
-    if baseline.is_some() && report.is_none() {
-        return Err("--baseline needs --report (the run to gate)".into());
-    }
     let explain = args.iter().any(|a| a == "--explain");
     let stale_serves = args.iter().any(|a| a == "--stale-serves");
     // `--explain 17` selects one query; `--explain --stale-serves` (or a
@@ -118,8 +101,6 @@ fn parse_args() -> Result<Args, String> {
         report,
         top,
         consistency,
-        baseline,
-        tolerance,
         explain,
         explain_query,
         stale_serves,
@@ -251,40 +232,6 @@ fn main() {
                     );
                     std::process::exit(2);
                 }
-            }
-        }
-
-        if let Some(baseline_path) = &args.baseline {
-            let baseline_text = read_report(baseline_path);
-            let fresh_of = |text: &str, path: &std::path::Path| -> f64 {
-                match mp2p_trace::json::parse(text)
-                    .and_then(|v| v.get("fresh_fraction").and_then(|f| f.as_f64()))
-                {
-                    Some(fresh) => fresh,
-                    None => {
-                        eprintln!("report {} lacks fresh_fraction", path.display());
-                        std::process::exit(2);
-                    }
-                }
-            };
-            let run_fresh = fresh_of(&text, path);
-            let baseline_fresh = fresh_of(&baseline_text, baseline_path);
-            let floor = baseline_fresh - args.tolerance;
-            if run_fresh < floor {
-                failed = true;
-                eprintln!(
-                    "\nConsistency regression: fresh_fraction {run_fresh:.4} fell below \
-                     the baseline floor {floor:.4} (baseline {baseline_fresh:.4} from {}, \
-                     tolerance {:.3})",
-                    baseline_path.display(),
-                    args.tolerance,
-                );
-            } else {
-                println!(
-                    "Fresh-fraction gate: {run_fresh:.4} >= floor {floor:.4} \
-                     (baseline {baseline_fresh:.4}, tolerance {:.3})",
-                    args.tolerance,
-                );
             }
         }
     }

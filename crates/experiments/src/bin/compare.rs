@@ -56,12 +56,30 @@ fn sanitize(name: &str) -> String {
     out.trim_end_matches('-').to_string()
 }
 
+const VALUE_FLAGS: &[&str] = &[
+    "--seed",
+    "--range",
+    "--mobility",
+    "--ttl",
+    "--trace",
+    "--faults",
+    "--json",
+];
+const SWITCHES: &[&str] = &[
+    "--full",
+    "--single",
+    "--hardened",
+    "--recovery",
+    "--consistency",
+    "--provenance",
+];
+
 fn main() {
     let fail = |msg: String| -> ! {
         eprintln!("{msg}");
         std::process::exit(2);
     };
-    let args = cli::Args::from_env();
+    let args = cli::Args::from_env(VALUE_FLAGS, SWITCHES).unwrap_or_else(|e| fail(e));
     let full = args.flag("--full");
     let seed = args
         .u64_of("--seed")

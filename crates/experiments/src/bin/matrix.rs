@@ -15,7 +15,15 @@
 //! prints the fleet scorecard. Every written cell file is read back and
 //! re-parsed, so a malformed snapshot can never reach disk silently.
 //! Cells are also checked against their scenario's absolute `[gates]`
-//! floors; a violation exits 1.
+//! floors and against the run invariants every cell must satisfy
+//! (issued = served + failed for queries and writes, partitions opened
+//! = healed, crashes = recoveries); a violation or breach exits 1,
+//! naming the cell.
+//!
+//! The `[gates]` floors of `scenarios/gates/` hold the repository's
+//! regression gates. A `min_events_per_sec` floor is wall-clock, so run
+//! such a scenario on its own with `--only`: cells swept in parallel
+//! share the CPU.
 //!
 //! `--smoke` shrinks the sweep for CI: the first two scenarios by name,
 //! first two strategies and first seed of each, with the horizon cut to
@@ -50,8 +58,19 @@ struct Options {
     wall_tolerance: f64,
 }
 
+const VALUE_FLAGS: &[&str] = &[
+    "--scenarios",
+    "--only",
+    "--out",
+    "--json",
+    "--baseline",
+    "--tolerance",
+    "--wall-tolerance",
+];
+const SWITCHES: &[&str] = &["--smoke", "--help", "-h"];
+
 fn parse_options() -> Result<Options, String> {
-    let args = cli::Args::from_env();
+    let args = cli::Args::from_env(VALUE_FLAGS, SWITCHES)?;
     if args.flag("--help") || args.flag("-h") {
         return Err("see the module docs at the top of matrix.rs for the flag list".into());
     }
@@ -179,7 +198,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         cells_expected,
         if opts.smoke { " [smoke]" } else { "" },
     );
-    let report = run_matrix(&scenarios, true);
+    let (report, breaches) = run_matrix(&scenarios, true);
     for cell in &report.cells {
         let path = write_cell(&opts.out_dir, cell)?;
         println!("{} -> {}", cell.key(), path.display());
@@ -196,6 +215,13 @@ fn run(opts: &Options) -> Result<bool, String> {
     print!("{}", scorecard(&report));
 
     let mut pass = true;
+    if !breaches.is_empty() {
+        pass = false;
+        println!("\nINVARIANT BREACHES ({}):", breaches.len());
+        for breach in &breaches {
+            println!("  {breach}");
+        }
+    }
     let floors = gate_violations(&scenarios, &report);
     if !floors.is_empty() {
         pass = false;

@@ -94,8 +94,45 @@ struct RunArgs {
     profile: bool,
 }
 
+const VALUE_FLAGS: &[&str] = &[
+    "--strategy",
+    "--mix",
+    "--peers",
+    "--cache",
+    "--terrain",
+    "--range",
+    "--mobility",
+    "--sim",
+    "--warmup",
+    "--update-secs",
+    "--query-secs",
+    "--write-secs",
+    "--ttl",
+    "--loss",
+    "--relay-cap",
+    "--seed",
+    "--sample-secs",
+    "--faults",
+    "--trace",
+    "--json",
+    "--metrics-out",
+];
+const SWITCHES: &[&str] = &[
+    "--no-churn",
+    "--oracle-routing",
+    "--adaptive",
+    "--single-item",
+    "--hardened",
+    "--recovery",
+    "--consistency",
+    "--provenance",
+    "--profile",
+    "--help",
+    "-h",
+];
+
 fn parse_args() -> Result<RunArgs, String> {
-    let args = cli::Args::from_env();
+    let args = cli::Args::from_env(VALUE_FLAGS, SWITCHES)?;
     let mut cfg = WorldConfig::paper_default(42);
     cfg.sim_time = SimDuration::from_mins(45);
     cfg.warmup = SimDuration::from_mins(10);

@@ -3,39 +3,59 @@
 //! Every binary under `src/bin/` historically hand-rolled the same
 //! `--flag value` scanning and the same token tables (strategy names,
 //! level mixes, fault presets). This module is the single home for all
-//! of it: [`Args`] wraps the raw argument vector with typed accessors,
-//! and the `parse_*` functions map the CLI token vocabularies onto the
-//! core types. `run`, `compare`, `chaos` and `matrix` all parse through
-//! here, so a token accepted by one binary is accepted — with the same
-//! spelling and the same error message — by all of them.
+//! of it: [`Args`] checks the raw argument vector against a binary's
+//! flag vocabulary and offers typed accessors, and the `parse_*`
+//! functions map the CLI token vocabularies onto the core types. `run`,
+//! `compare` and `matrix` all parse through here, so a token accepted by
+//! one binary is accepted — with the same spelling and the same error
+//! message — by all of them.
 
 use mp2p_net::FaultPlan;
 use mp2p_rpcc::{LevelMix, MobilityKind, Strategy};
 use mp2p_sim::SimDuration;
 
-use crate::perf;
-
-/// The raw argument vector with typed, flag-oriented accessors.
+/// The checked argument vector with typed, flag-oriented accessors.
 ///
-/// Flags are scanned positionally (`--flag value`), matching the
-/// historical behaviour of the binaries: a repeated flag resolves to its
-/// first occurrence.
+/// Flags are scanned positionally (`--flag value`): a repeated flag
+/// resolves to its first occurrence.
 #[derive(Debug, Clone)]
 pub struct Args {
     argv: Vec<String>,
 }
 
 impl Args {
-    /// Captures the process arguments (program name skipped).
-    pub fn from_env() -> Self {
-        Args {
-            argv: std::env::args().skip(1).collect(),
-        }
+    /// Captures the process arguments (program name skipped) and checks
+    /// them with [`Args::parse`].
+    pub fn from_env(value_flags: &[&str], switches: &[&str]) -> Result<Self, String> {
+        Args::parse(std::env::args().skip(1).collect(), value_flags, switches)
     }
 
-    /// Wraps an explicit argument vector (used by tests).
-    pub fn new(argv: Vec<String>) -> Self {
-        Args { argv }
+    /// Checks an argument vector against a binary's vocabulary: every
+    /// token must be one of `switches`, or one of `value_flags` followed
+    /// by its value. An unknown flag, a stray positional argument, or a
+    /// value flag with no value after it (end of input, or another
+    /// `--flag`) is an error, so a typo can never silently drop a knob.
+    pub fn parse(
+        argv: Vec<String>,
+        value_flags: &[&str],
+        switches: &[&str],
+    ) -> Result<Self, String> {
+        let mut i = 0;
+        while let Some(arg) = argv.get(i).map(String::as_str) {
+            if value_flags.contains(&arg) {
+                match argv.get(i + 1) {
+                    Some(value) if !value.starts_with("--") => i += 2,
+                    _ => return Err(format!("{arg} expects a value")),
+                }
+            } else if switches.contains(&arg) {
+                i += 1;
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag {arg:?}"));
+            } else {
+                return Err(format!("unexpected argument {arg:?}"));
+            }
+        }
+        Ok(Args { argv })
     }
 
     /// True when the bare flag is present anywhere.
@@ -86,10 +106,28 @@ impl Args {
     }
 }
 
-/// Parses a strategy token (`rpcc`, `push`, `pull`, `push-ap`).
+/// CLI token of a strategy (`rpcc`, `push`, `pull`, `push-ap`) — also
+/// the stem of matrix cell file names, so it is lowercase and path-safe.
+pub fn strategy_token(strategy: Strategy) -> &'static str {
+    match strategy {
+        Strategy::Rpcc => "rpcc",
+        Strategy::Push => "push",
+        Strategy::Pull => "pull",
+        Strategy::PushAdaptivePull => "push-ap",
+    }
+}
+
+/// Parses a strategy token; the inverse of [`strategy_token`].
 pub fn parse_strategy(token: &str) -> Result<Strategy, String> {
-    perf::parse_strategy(token)
-        .ok_or_else(|| format!("unknown strategy {token:?} (rpcc|push|pull|push-ap)"))
+    match token {
+        "rpcc" => Ok(Strategy::Rpcc),
+        "push" => Ok(Strategy::Push),
+        "pull" => Ok(Strategy::Pull),
+        "push-ap" => Ok(Strategy::PushAdaptivePull),
+        _ => Err(format!(
+            "unknown strategy {token:?} (rpcc|push|pull|push-ap)"
+        )),
+    }
 }
 
 /// Parses a comma-separated strategy list (`rpcc,push,pull`).
@@ -194,9 +232,44 @@ pub fn parse_faults(name: &str, sim_time: SimDuration) -> Result<FaultPlan, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, prop_assert, proptest};
+
+    const VALUES: &[&str] = &["--peers", "--loss", "--trace", "--mobility", "--faults"];
+    const SWITCHES: &[&str] = &["--profile", "--hardened"];
+
+    fn parse(list: &[&str]) -> Result<Args, String> {
+        Args::parse(
+            list.iter().map(|s| s.to_string()).collect(),
+            VALUES,
+            SWITCHES,
+        )
+    }
 
     fn args(list: &[&str]) -> Args {
-        Args::new(list.iter().map(|s| s.to_string()).collect())
+        parse(list).expect("valid argv")
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_arguments_are_refused() {
+        let err = parse(&["--peers", "50", "--basline", "x.json"]).unwrap_err();
+        assert!(err.contains("unknown flag \"--basline\""), "{err}");
+        assert!(parse(&["-x"]).unwrap_err().contains("unknown flag"));
+        let err = parse(&["--profile", "extra"]).unwrap_err();
+        assert!(err.contains("unexpected argument \"extra\""), "{err}");
+        assert!(parse(&[]).is_ok());
+    }
+
+    #[test]
+    fn a_value_flag_without_its_value_is_refused() {
+        let err = parse(&["--peers", "10", "--trace"]).unwrap_err();
+        assert_eq!(err, "--trace expects a value");
+        let err = parse(&["--trace", "--profile"]).unwrap_err();
+        assert_eq!(err, "--trace expects a value");
+        // A negative number is a value, not a flag.
+        assert_eq!(
+            args(&["--loss", "-0.5"]).f64_of("--loss").unwrap(),
+            Some(-0.5)
+        );
     }
 
     #[test]
@@ -209,6 +282,18 @@ mod tests {
         assert_eq!(a.u64_of("--missing").unwrap(), None);
         let bad = args(&["--peers", "many"]);
         assert!(bad.usize_of("--peers").is_err());
+    }
+
+    #[test]
+    fn strategy_tokens_roundtrip() {
+        for strategy in [
+            Strategy::Rpcc,
+            Strategy::Push,
+            Strategy::Pull,
+            Strategy::PushAdaptivePull,
+        ] {
+            assert_eq!(parse_strategy(strategy_token(strategy)), Ok(strategy));
+        }
     }
 
     #[test]
@@ -270,5 +355,64 @@ mod tests {
             assert_eq!(parse_faults(preset, sim).unwrap().label, preset);
         }
         assert!(parse_faults("meteor", sim).is_err());
+    }
+
+    /// Flag names, flag-like typos and values the argv generator mixes
+    /// with arbitrary byte strings.
+    const POOL: &[&str] = &[
+        "--peers",
+        "--loss",
+        "--trace",
+        "--mobility",
+        "--faults",
+        "--profile",
+        "--hardened",
+        "--basline",
+        "-h",
+        "--",
+        "-",
+        "",
+        "50",
+        "-1",
+        "0.05",
+        "nan",
+        "manhattan:1:x",
+        "hostile",
+        "/tmp/x.jsonl",
+    ];
+
+    proptest! {
+        #[test]
+        fn arbitrary_argv_never_panics(
+            picks in proptest::collection::vec(
+                (0usize..POOL.len() + 1, proptest::collection::vec(any::<u8>(), 0..6)),
+                0..8,
+            )
+        ) {
+            let argv: Vec<String> = picks
+                .into_iter()
+                .map(|(i, bytes)| match POOL.get(i) {
+                    Some(token) => (*token).to_owned(),
+                    None => String::from_utf8_lossy(&bytes).into_owned(),
+                })
+                .collect();
+            if let Ok(a) = Args::parse(argv, VALUES, SWITCHES) {
+                for flag in VALUES {
+                    // An accepted value flag always carries its value.
+                    if a.flag(flag) {
+                        prop_assert!(a.value_of(flag).is_some_and(|v| !v.starts_with("--")));
+                    }
+                    let _ = a.f64_of(flag);
+                    let _ = a.u64_of(flag);
+                    let _ = a.usize_of(flag);
+                }
+                if let Some(v) = a.value_of("--mobility") {
+                    let _ = parse_mobility(v);
+                }
+                if let Some(v) = a.value_of("--faults") {
+                    let _ = parse_faults(v, SimDuration::from_mins(10));
+                }
+            }
+        }
     }
 }

@@ -25,7 +25,6 @@ pub mod analysis;
 pub mod cli;
 mod figures;
 pub mod matrix;
-pub mod perf;
 mod report;
 pub mod scenario;
 mod sweep;
@@ -38,12 +37,8 @@ pub use analysis::{
 };
 pub use figures::{fig7a, fig7b, fig7c, fig8a, fig8b, fig8c, fig9, table1_rows, FigureData};
 pub use matrix::{
-    compare_matrix, gate_violations, run_cell, run_matrix, CellRegression, GateAxis, MatrixCell,
-    MatrixReport, MATRIX_SCHEMA,
-};
-pub use perf::{
-    bench_config, bench_terrain, compare, parse_strategy, run_bench_point, strategy_token,
-    BenchSnapshot, BucketShare, Comparison, AREA_PER_PEER_M2, BENCH_SCHEMA,
+    compare_matrix, gate_violations, invariant_breaches, run_cell, run_matrix, CellRegression,
+    GateAxis, MatrixCell, MatrixReport, MATRIX_SCHEMA,
 };
 pub use report::{render_series_table, render_table, write_csv};
 pub use scenario::{GateFloors, MobilitySpec, Scenario, ScenarioError, SCENARIO_SCHEMA};

@@ -4,8 +4,7 @@
 //! The matrix runner sweeps scenario × strategy × seed (each triple is
 //! one **cell**), freezes every cell into a schema-versioned
 //! [`MatrixCell`], and folds the cells into a [`MatrixReport`] — the
-//! fleet scorecard. Where PR 4's `perf` gate watches a single axis
-//! (events/sec), [`compare_matrix`] gates **three** per cell:
+//! fleet scorecard. [`compare_matrix`] gates **three** axes per cell:
 //!
 //! * **throughput** — events/sec below `baseline × (1 − wall_tolerance)`
 //!   regresses. Wall-clock, hence its own (loose) tolerance; skipped for
@@ -19,13 +18,15 @@
 //! or a baseline cell the measurement never ran) are an *error*, not a
 //! verdict — numbers from different scenarios must never be compared.
 //! Absolute per-scenario floors (`[gates]` in the scenario file) are
-//! checked by [`gate_violations`], independent of any baseline.
+//! checked by [`gate_violations`], independent of any baseline, and
+//! every cell's run must satisfy the accounting and schedule
+//! invariants of [`invariant_breaches`].
 
 use mp2p_rpcc::{RunReport, Strategy, World};
 use mp2p_trace::json::{self, Value};
 use mp2p_trace::BlameCause;
 
-use crate::perf::{parse_strategy, strategy_token};
+use crate::cli::{parse_strategy, strategy_token};
 use crate::scenario::Scenario;
 use crate::sweep::run_parallel;
 
@@ -209,7 +210,7 @@ impl MatrixCell {
                 .ok_or_else(|| format!("missing numeric field {key:?}"))
         };
         let strategy = str_field("strategy")?;
-        if parse_strategy(&strategy).is_none() {
+        if parse_strategy(&strategy).is_err() {
             return Err(format!("unknown strategy token {strategy:?}"));
         }
         Ok(MatrixCell {
@@ -293,21 +294,70 @@ impl MatrixReport {
     }
 }
 
-/// Runs one matrix cell and freezes it. With `profile` the world's
-/// profiler is enabled, filling the wall-clock fields — strictly
-/// observational, so the deterministic fields are identical either way.
-pub fn run_cell(scenario: &Scenario, strategy: Strategy, seed: u64, profile: bool) -> MatrixCell {
+/// The invariants every finished run must satisfy, whatever its
+/// scenario: each issued query and replica write is either served or
+/// failed (faults never leak or double-count one), every partition
+/// window that opened also healed, and every crashed node recovered.
+/// Returns one message per breached invariant (empty = all hold).
+///
+/// The run's closing censor of in-flight queries and writes makes the
+/// accounting equalities hold by construction, and the fault presets
+/// heal and recover inside the horizon, so a breach is a simulator bug.
+pub fn invariant_breaches(report: &RunReport) -> Vec<String> {
+    let mut breaches = Vec::new();
+    let served = report.queries_served();
+    if report.queries_issued != served + report.queries_failed {
+        breaches.push(format!(
+            "query accounting: issued {} != served {served} + failed {}",
+            report.queries_issued, report.queries_failed
+        ));
+    }
+    let acked = report.writes_completed();
+    if report.writes_issued != acked + report.writes_failed {
+        breaches.push(format!(
+            "write accounting: issued {} != acked {acked} + failed {}",
+            report.writes_issued, report.writes_failed
+        ));
+    }
+    let f = &report.faults;
+    if f.partitions_started != f.partitions_healed {
+        breaches.push(format!(
+            "partition schedule: {} opened != {} healed",
+            f.partitions_started, f.partitions_healed
+        ));
+    }
+    if f.crashes != f.recoveries {
+        breaches.push(format!(
+            "crash schedule: {} crashes != {} recoveries",
+            f.crashes, f.recoveries
+        ));
+    }
+    breaches
+}
+
+/// Runs one matrix cell and freezes it, together with the cell's
+/// [`invariant_breaches`]. With `profile` the world's profiler is
+/// enabled, filling the wall-clock fields — strictly observational, so
+/// the deterministic fields are identical either way.
+pub fn run_cell(
+    scenario: &Scenario,
+    strategy: Strategy,
+    seed: u64,
+    profile: bool,
+) -> (MatrixCell, Vec<String>) {
     let mut world = World::new(scenario.world_config(strategy, seed));
     if profile {
         world.enable_profiling();
     }
     let report = world.run();
-    MatrixCell::from_report(scenario, strategy, seed, &report)
+    let cell = MatrixCell::from_report(scenario, strategy, seed, &report);
+    (cell, invariant_breaches(&report))
 }
 
 /// Sweeps every scenario × strategy × seed cell in parallel (the same
 /// executor the figure sweeps use) and folds the cells into a report.
-pub fn run_matrix(scenarios: &[Scenario], profile: bool) -> MatrixReport {
+/// Also returns every invariant breach, as `<cell key>: <breach>`.
+pub fn run_matrix(scenarios: &[Scenario], profile: bool) -> (MatrixReport, Vec<String>) {
     let mut jobs: Vec<(&Scenario, Strategy, u64)> = Vec::new();
     for scenario in scenarios {
         for &strategy in &scenario.strategies {
@@ -316,10 +366,16 @@ pub fn run_matrix(scenarios: &[Scenario], profile: bool) -> MatrixReport {
             }
         }
     }
-    let cells = run_parallel(&jobs, |&(scenario, strategy, seed)| {
+    let runs = run_parallel(&jobs, |&(scenario, strategy, seed)| {
         run_cell(scenario, strategy, seed, profile)
     });
-    MatrixReport { cells }
+    let mut breaches = Vec::new();
+    let mut cells = Vec::with_capacity(runs.len());
+    for (cell, cell_breaches) in runs {
+        breaches.extend(cell_breaches.iter().map(|b| format!("{}: {b}", cell.key())));
+        cells.push(cell);
+    }
+    (MatrixReport { cells }, breaches)
 }
 
 /// The three baseline-gated axes of a cell.
@@ -640,5 +696,33 @@ mod tests {
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].axis, GateAxis::FreshFraction);
         assert_eq!(violations[0].cell, "mini/rpcc/s42");
+    }
+
+    #[test]
+    fn each_invariant_flags_a_doctored_report() {
+        use mp2p_rpcc::WorldConfig;
+        use mp2p_sim::SimDuration;
+        let mut cfg = WorldConfig::small_test(5);
+        cfg.n_peers = 8;
+        cfg.c_num = 3;
+        cfg.sim_time = SimDuration::from_mins(3);
+        cfg.warmup = SimDuration::from_mins(1);
+        let clean = World::new(cfg).run();
+        assert!(invariant_breaches(&clean).is_empty());
+
+        type Doctor = fn(&mut RunReport);
+        let doctors: [(&str, Doctor); 4] = [
+            ("query accounting", |r| r.queries_issued += 1),
+            ("write accounting", |r| r.writes_failed += 1),
+            ("partition schedule", |r| r.faults.partitions_started += 1),
+            ("crash schedule", |r| r.faults.recoveries += 1),
+        ];
+        for (invariant, doctor) in doctors {
+            let mut report = clean.clone();
+            doctor(&mut report);
+            let breaches = invariant_breaches(&report);
+            assert_eq!(breaches.len(), 1, "{invariant}: {breaches:?}");
+            assert!(breaches[0].starts_with(invariant), "{breaches:?}");
+        }
     }
 }

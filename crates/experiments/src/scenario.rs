@@ -65,7 +65,7 @@ use mp2p_rpcc::{
 };
 use mp2p_sim::SimDuration;
 
-use crate::{cli, perf};
+use crate::cli;
 
 /// Version tag required in every scenario file (`schema = 1`). Bump on
 /// layout changes so old files are refused instead of misread.
@@ -383,7 +383,7 @@ impl Scenario {
         let tokens: Vec<String> = self
             .strategies
             .iter()
-            .map(|&st| quote(perf::strategy_token(st)))
+            .map(|&st| quote(cli::strategy_token(st)))
             .collect();
         let _ = writeln!(s, "strategies = [{}]", tokens.join(", "));
         let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();

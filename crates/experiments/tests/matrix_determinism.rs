@@ -3,8 +3,10 @@
 //! Three obligations from the scenario-matrix design:
 //!
 //! 1. The same cell run twice produces byte-identical
-//!    [`RunReport::to_json`] output — and the matrix path produces the
-//!    same cell as a direct run frozen by hand.
+//!    [`RunReport::to_json`] output — also for every strategy of the
+//!    `chaos-hostile` gate, where fault injection must draw only from
+//!    its own stream — and the matrix path produces the same cell as a
+//!    direct run frozen by hand.
 //! 2. The committed `paper-default` scenario reproduces the
 //!    `WorldConfig::paper_default` world **byte for byte**: the scenario
 //!    layer can never silently drift the paper reproduction.
@@ -51,13 +53,30 @@ strategies = ["rpcc"]
 seeds = [42]
 "#;
 
+fn gate_scenario(name: &str) -> Scenario {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../scenarios/gates")
+        .join(format!("{name}.toml"));
+    Scenario::load(&path).expect("committed gate scenario loads")
+}
+
 #[test]
 fn the_same_cell_twice_is_byte_identical() {
-    let s = Scenario::parse(TINY).unwrap();
-    let strategy = s.strategies[0];
-    let first = s.run_cell_report(strategy, 42).to_json();
-    let second = s.run_cell_report(strategy, 42).to_json();
-    assert_eq!(first, second, "same-cell reruns must not drift");
+    let tiny = Scenario::parse(TINY).unwrap();
+    let hostile = gate_scenario("chaos-hostile");
+    assert_eq!(hostile.strategies.len(), 3, "rpcc, push and pull");
+    for s in [&tiny, &hostile] {
+        for &strategy in &s.strategies {
+            let seed = s.seeds[0];
+            let first = s.run_cell_report(strategy, seed).to_json();
+            let second = s.run_cell_report(strategy, seed).to_json();
+            assert_eq!(
+                first, second,
+                "{}/{strategy}: same-cell reruns must not drift",
+                s.name
+            );
+        }
+    }
 }
 
 #[test]
@@ -65,14 +84,15 @@ fn the_matrix_path_equals_the_direct_run_path() {
     let s = Scenario::parse(TINY).unwrap();
     let strategy = s.strategies[0];
     // The matrix executor (unprofiled, so every field is deterministic)...
-    let report = run_matrix(std::slice::from_ref(&s), false);
+    let (report, breaches) = run_matrix(std::slice::from_ref(&s), false);
+    assert!(breaches.is_empty(), "{breaches:?}");
     let via_matrix = report.cell("tiny-gate", "rpcc", 42).expect("cell swept");
     // ...must freeze exactly the cell a direct run freezes by hand.
     let direct = s.run_cell_report(strategy, 42);
     let by_hand = MatrixCell::from_report(&s, strategy, 42, &direct);
     assert_eq!(via_matrix, &by_hand);
     // And a profiled run only fills the wall-clock fields.
-    let mut profiled = run_cell(&s, strategy, 42, true);
+    let (mut profiled, _) = run_cell(&s, strategy, 42, true);
     assert!(profiled.events > 0 && profiled.events_per_sec > 0.0);
     profiled.events = 0;
     profiled.wall_secs = 0.0;
@@ -251,4 +271,15 @@ fn gate_floor_violations_trip_the_sweep_without_a_baseline() {
         stdout_of(&tripped)
     );
     assert!(stdout_of(&tripped).contains("GATE FLOOR VIOLATIONS"));
+}
+
+#[test]
+fn a_mistyped_flag_exits_2_before_sweeping() {
+    let dir = TempMatrixDir::new("typo");
+    let refused = run_matrix_binary(&dir, &["--basline", "baseline.json"]);
+    assert_eq!(refused.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&refused.stderr).contains("unknown flag \"--basline\""));
+    let refused = run_matrix_binary(&dir, &["--only"]);
+    assert_eq!(refused.status.code(), Some(2));
+    assert!(!dir.out().exists(), "no cell may run on a usage error");
 }

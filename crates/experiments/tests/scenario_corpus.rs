@@ -1,6 +1,7 @@
 //! Corpus-level tests for the scenario format: the committed
-//! `scenarios/` files must load, round-trip through the canonical
-//! serialiser, and build valid worlds for every cell; the parser must
+//! `scenarios/` and `scenarios/gates/` files must load, round-trip
+//! through the canonical serialiser, and build valid worlds for every
+//! cell; the parser must
 //! report line-accurate errors and survive arbitrary bytes without
 //! panicking (the `journal_fuzz.rs` discipline applied to TOML input).
 
@@ -17,6 +18,18 @@ fn corpus_dir() -> PathBuf {
 
 fn corpus() -> Vec<Scenario> {
     Scenario::load_dir(&corpus_dir()).expect("committed corpus loads")
+}
+
+/// The committed regression-gate scenarios (`scenarios/gates/`).
+fn gates() -> Vec<Scenario> {
+    Scenario::load_dir(&corpus_dir().join("gates")).expect("committed gates load")
+}
+
+/// Every committed scenario file, both directories.
+fn all_committed() -> Vec<Scenario> {
+    let mut all = corpus();
+    all.extend(gates());
+    all
 }
 
 #[test]
@@ -42,8 +55,29 @@ fn corpus_is_complete_and_sorted() {
 }
 
 #[test]
+fn gate_directory_holds_every_gate_and_stays_out_of_the_corpus() {
+    let names: Vec<String> = gates().into_iter().map(|s| s.name).collect();
+    assert_eq!(
+        names,
+        [
+            "bench-rpcc-2000",
+            "bench-rpcc-50",
+            "chaos-hostile",
+            "consistency-bursty",
+            "consistency-partition",
+            "recovery-bursty",
+            "recovery-crash-heavy",
+            "recovery-partition",
+        ]
+    );
+    // load_dir does not recurse: the sweep (and its smoke subset) over
+    // scenarios/ never picks up a gate cell.
+    assert!(corpus().iter().all(|s| !names.contains(&s.name)));
+}
+
+#[test]
 fn every_corpus_file_round_trips_through_the_canonical_form() {
-    for s in corpus() {
+    for s in all_committed() {
         let canonical = s.to_toml();
         let back = Scenario::parse(&canonical)
             .unwrap_or_else(|e| panic!("{}: canonical form fails to reparse: {e}", s.name));
@@ -59,7 +93,7 @@ fn every_corpus_file_round_trips_through_the_canonical_form() {
 
 #[test]
 fn every_corpus_cell_builds_a_valid_world() {
-    for s in corpus() {
+    for s in all_committed() {
         for &strategy in &s.strategies {
             for &seed in &s.seeds {
                 // validate() panics on an inconsistent config.

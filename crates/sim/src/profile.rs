@@ -165,7 +165,7 @@ impl Profiler {
 /// The end-of-run profiling report: where wall-clock time went, how the
 /// event queue behaved, and what the run allocated at the message/trace
 /// layer. Serialised (behind an opt-in flag) as the `perf` section of
-/// the run report and as `BENCH_*.json` snapshots.
+/// the run report; matrix cells keep its events and events/sec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PerfReport {
     /// Wall-clock nanoseconds spent in the event loop (≥ 1).

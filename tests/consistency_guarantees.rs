@@ -129,37 +129,48 @@ fn friendly_conditions_serve_almost_everything() {
 
 #[test]
 fn delta_bound_reestablishes_after_partition_heal() {
-    // Satellite of the chaos harness: a bisection partition severs the
-    // network for the middle fifth of the run, orphaning relays and
-    // stranding leases on the far side. Once the partition heals, the
-    // next TTN report cycle revalidates (or the orphan-lease machinery
-    // demotes) every surviving relay — so measuring only after
-    // heal + TTP + TTN must find the Δ-staleness bound intact again.
-    let mut cfg = friendly(9);
-    cfg.strategy = Strategy::Rpcc;
-    cfg.level_mix = LevelMix::delta_only();
-    cfg.proto = cfg.proto.hardened();
-    cfg.faults = mp2p::net::FaultPlan::partition(cfg.sim_time);
-    let heal = cfg.faults.partitions[0].heal;
-    cfg.warmup = heal.saturating_since(mp2p::sim::SimTime::ZERO)
-        + cfg.proto.ttp
-        + cfg.proto.ttn
-        + SimDuration::from_secs(30);
-    assert!(
-        cfg.warmup < cfg.sim_time,
-        "scenario leaves a measured window"
-    );
-    let bound = cfg.proto.ttp + cfg.proto.ttn + SimDuration::from_secs(15);
-    let r = World::new(cfg).run();
-    assert_eq!(r.faults.partitions_started, 1);
-    assert_eq!(r.faults.partitions_healed, 1);
-    assert!(r.audit.served() > 50, "need a meaningful post-heal sample");
-    assert!(
-        r.audit.max_staleness() <= bound,
-        "post-heal Δ staleness {} exceeds TTP + TTN bound {}",
-        r.audit.max_staleness(),
-        bound
-    );
+    // A bisection partition severs the network for the middle fifth of
+    // the run, orphaning relays and stranding leases on the far side.
+    // Once the partition heals, the next TTN report cycle revalidates
+    // (or the orphan-lease machinery demotes) every surviving relay — so
+    // measuring only after heal + TTP + TTN must find the Δ-staleness
+    // bound intact again. Two worlds: the friendly Δ-only one, and the
+    // hardened 20-peer soak world of the `chaos-hostile` gate (900 m
+    // square, five cache slots, lossy links and churn) on a 25-minute
+    // horizon.
+    let mut friendly_cfg = friendly(9);
+    friendly_cfg.level_mix = LevelMix::delta_only();
+    let mut soak_cfg = WorldConfig::paper_default(42);
+    soak_cfg.n_peers = 20;
+    soak_cfg.terrain = mp2p::mobility::Terrain::new(900.0, 900.0);
+    soak_cfg.c_num = 5;
+    soak_cfg.sim_time = SimDuration::from_mins(25);
+    for mut cfg in [friendly_cfg, soak_cfg] {
+        cfg.strategy = Strategy::Rpcc;
+        cfg.proto = cfg.proto.hardened();
+        cfg.faults = mp2p::net::FaultPlan::partition(cfg.sim_time);
+        let heal = cfg.faults.partitions[0].heal;
+        cfg.warmup = heal.saturating_since(mp2p::sim::SimTime::ZERO)
+            + cfg.proto.ttp
+            + cfg.proto.ttn
+            + SimDuration::from_secs(30);
+        assert!(
+            cfg.warmup < cfg.sim_time,
+            "scenario leaves a measured window"
+        );
+        let bound = cfg.proto.ttp + cfg.proto.ttn + SimDuration::from_secs(15);
+        let peers = cfg.n_peers;
+        let r = World::new(cfg).run();
+        assert_eq!(r.faults.partitions_started, 1);
+        assert_eq!(r.faults.partitions_healed, 1);
+        assert!(r.audit.served() > 50, "need a meaningful post-heal sample");
+        assert!(
+            r.audit.max_staleness() <= bound,
+            "{peers} peers: post-heal Δ staleness {} exceeds TTP + TTN bound {}",
+            r.audit.max_staleness(),
+            bound
+        );
+    }
 }
 
 #[test]
