@@ -1,11 +1,13 @@
 //! Substrate scaling benches: old O(n²) pairwise topology build vs the
 //! spatial-hash/CSR build, and allocation-free scratch queries, at the
-//! node counts 50 (paper scale), 500 and 5000.
+//! node counts 50 (paper scale), 500 and 5000. At 5000 the recycled
+//! rebuild is also timed with 2% of peers down and under a vertical
+//! partition filter, the branches a churning, partitioned run takes.
 //! Node density is held at the paper's (one peer per ~45 000 m²) so the
 //! average degree — and thus per-node work — stays comparable across n;
 //! what changes with n is exactly the build strategy's complexity class.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use std::hint::black_box;
 
 use mp2p_mobility::{Point, Terrain};
@@ -57,18 +59,53 @@ fn bench_build(c: &mut Criterion) {
         group.bench_function("grid_fresh", |b| {
             b.iter(|| black_box(Topology::new(&positions, &up, RANGE)))
         });
-        group.bench_function("grid_recycled", |b| {
-            let mut builder = TopologyBuilder::new();
-            let mut prev = Some(builder.build(&positions, &up, RANGE, |_, _| true));
-            b.iter(|| {
-                let topo = builder.rebuild(prev.take(), &positions, &up, RANGE, |_, _| true);
-                let edges = topo.edge_count();
-                prev = Some(topo);
-                black_box(edges)
-            })
-        });
+        bench_recycled(&mut group, "grid_recycled", &positions, &up, |_, _| true);
+        if n == 5_000 {
+            // The other branches a churning, partitioned run takes:
+            // every 50th peer switched off (2% down), and the
+            // `partition` fault preset's vertical cut at the midline.
+            let churned: Vec<bool> = (0..n).map(|i| i % 50 != 0).collect();
+            bench_recycled(
+                &mut group,
+                "grid_recycled_2pct_down",
+                &positions,
+                &churned,
+                |_, _| true,
+            );
+            let mid_x = bench_terrain(n).width() / 2.0;
+            let same_side =
+                |i: usize, j: usize| (positions[i].x < mid_x) == (positions[j].x < mid_x);
+            bench_recycled(
+                &mut group,
+                "grid_recycled_partition",
+                &positions,
+                &up,
+                same_side,
+            );
+        }
         group.finish();
     }
+}
+
+/// The steady-state rebuild that recycles the previous snapshot's CSR
+/// arrays (the path `World` actually runs).
+fn bench_recycled(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    positions: &[Point],
+    up: &[bool],
+    keep: impl Fn(usize, usize) -> bool + Copy,
+) {
+    group.bench_function(name, |b| {
+        let mut builder = TopologyBuilder::new();
+        let mut prev = Some(builder.build(positions, up, RANGE, keep));
+        b.iter(|| {
+            let topo = builder.rebuild(prev.take(), positions, up, RANGE, keep);
+            let edges = topo.edge_count();
+            prev = Some(topo);
+            black_box(edges)
+        })
+    });
 }
 
 /// Scratch-based BFS queries on a warm scratch: the TTL-scope scan every

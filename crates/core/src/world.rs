@@ -18,7 +18,10 @@ use mp2p_net::{
     Axis, FaultPlan, Frame, GilbertElliott, LinkModel, NetAction, NetConfig, NetEvent, NetStack,
     NetTimer, RouteControl, Topology, TopologyBuilder, TopologyScratch,
 };
-use mp2p_sim::{EventQueue, ItemId, NodeId, PerfReport, Profiler, SimDuration, SimRng, SimTime};
+use mp2p_sim::{
+    EventQueue, ItemId, NodeId, PerfReport, Profiler, SimDuration, SimRng, SimTime,
+    TopologyRebuilds,
+};
 use mp2p_trace::{BlameCause, FrameFateKind, LevelTag, NullSink, ServedBy, TraceEvent, TraceSink};
 
 use crate::config::ProtocolConfig;
@@ -856,6 +859,10 @@ pub struct World {
     /// over the whole run, warm-up included. A plain counter — always
     /// maintained, reported only through the perf section.
     frames_sent: u64,
+    /// Simulation snapshot rebuilds by cause. Plain counters like
+    /// `frames_sent`: never read back by the simulation, reported only
+    /// through the perf section.
+    topo_rebuilds: TopologyRebuilds,
     /// Delivery context for provenance lineage: the carrying frame's
     /// `(origin, seq, hops)` while a just-delivered message is being
     /// dispatched to a protocol handler; `None` outside delivery (timer
@@ -1019,6 +1026,7 @@ impl World {
             tracer: Box::new(NullSink),
             profiler: Profiler::disabled(),
             frames_sent: 0,
+            topo_rebuilds: TopologyRebuilds::default(),
             rx_frame: None,
         };
         if world.cfg.observatory.blame {
@@ -1284,6 +1292,7 @@ impl World {
             .map(|mut p| {
                 p.queue = self.queue.stats();
                 p.frames_sent = self.frames_sent;
+                p.topology_rebuilds = self.topo_rebuilds;
                 p.journal_bytes = tracer.bytes_written();
                 p
             });
@@ -1785,6 +1794,11 @@ impl World {
         }
         let axes = self.active_partition_axes();
         let recycle = self.topo.take().map(|(_, t)| t);
+        if recycle.is_some() {
+            self.topo_rebuilds.age += 1;
+        } else {
+            self.topo_rebuilds.invalidated += 1;
+        }
         let topo = self
             .topo_buffers
             .build(recycle, &mut self.nodes, self.now, &self.cfg, &axes);

@@ -1,6 +1,7 @@
 //! Observers never change what they observe. Every opt-in layer — the
-//! consistency observatory, frame provenance, the wall-clock profiler
-//! and a JSONL flight recorder — must leave the simulated run untouched:
+//! consistency observatory, frame provenance, the wall-clock profiler,
+//! a JSONL flight recorder and the windowed metrics registry behind
+//! `--metrics-out` — must leave the simulated run untouched:
 //! across strategies × fault presets, a run with one layer on must
 //! serialise the same report as the bare run once that layer's own
 //! section (`consistency`, `perf`) is removed.
@@ -11,6 +12,7 @@ use std::sync::{Arc, Mutex};
 use mp2p_net::FaultPlan;
 use mp2p_rpcc::{ObservatoryConfig, ProvenanceConfig, RunReport, Strategy, World, WorldConfig};
 use mp2p_sim::SimDuration;
+use mp2p_trace::bridge::{RegistrySink, DEFAULT_WINDOW};
 use mp2p_trace::JsonlSink;
 
 /// Journal target that keeps the byte count only.
@@ -35,6 +37,7 @@ enum Layer {
     Provenance,
     Profiler,
     Journal,
+    Registry,
 }
 
 fn config(strategy: Strategy, preset: &str) -> WorldConfig {
@@ -53,7 +56,7 @@ fn report_without_layer(strategy: Strategy, preset: &str, layer: Layer) -> Strin
     match layer {
         Layer::Observatory => cfg.observatory = ObservatoryConfig::full(SimDuration::from_secs(30)),
         Layer::Provenance => cfg.provenance = ProvenanceConfig::full(),
-        Layer::Bare | Layer::Profiler | Layer::Journal => {}
+        Layer::Bare | Layer::Profiler | Layer::Journal | Layer::Registry => {}
     }
     let warmup = cfg.warmup;
     let mut world = World::new(cfg);
@@ -71,6 +74,22 @@ fn report_without_layer(strategy: Strategy, preset: &str, layer: Layer) -> Strin
             assert!(*bytes.0.lock().unwrap() > 0, "the journal was written");
             report
         }
+        Layer::Registry => {
+            world.set_tracer(Box::new(RegistrySink::new(DEFAULT_WINDOW, warmup)));
+            let (report, sink) = world.run_traced();
+            let registry = sink
+                .as_any()
+                .downcast_ref::<RegistrySink>()
+                .expect("the registry sink installed above")
+                .registry();
+            assert!(
+                registry
+                    .counter("queries_issued_total")
+                    .is_some_and(|c| c.total() > 0),
+                "the registry saw the run"
+            );
+            report
+        }
         Layer::Bare | Layer::Observatory | Layer::Provenance => world.run(),
     };
     match layer {
@@ -82,7 +101,7 @@ fn report_without_layer(strategy: Strategy, preset: &str, layer: Layer) -> Strin
             assert!(report.perf.is_some(), "profiler section present");
             report.perf = None;
         }
-        Layer::Bare | Layer::Provenance | Layer::Journal => {}
+        Layer::Bare | Layer::Provenance | Layer::Journal | Layer::Registry => {}
     }
     report.to_json()
 }
@@ -94,6 +113,7 @@ fn observational_purity() {
         Layer::Provenance,
         Layer::Profiler,
         Layer::Journal,
+        Layer::Registry,
     ];
     for strategy in [
         Strategy::Rpcc,

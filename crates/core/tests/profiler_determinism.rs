@@ -121,3 +121,31 @@ fn unprofiled_report_json_has_no_perf_key() {
         "perf key must only appear when profiling is on"
     );
 }
+
+#[test]
+fn topology_rebuilds_are_counted_by_cause() {
+    let rebuilds = |churn: bool| {
+        let mut cfg = scenario(42);
+        if !churn {
+            cfg.i_switch = None;
+        }
+        let mut world = World::new(cfg);
+        world.enable_profiling();
+        world
+            .run()
+            .perf
+            .expect("profiling was enabled")
+            .topology_rebuilds
+    };
+    let still = rebuilds(false);
+    assert_eq!(
+        still.invalidated, 1,
+        "without churn or faults only the first build finds no snapshot"
+    );
+    assert!(still.age > 0, "a five-minute run refreshes by age");
+    let churned = rebuilds(true);
+    assert!(
+        churned.invalidated > 1,
+        "each peer switch drops the snapshot: {churned:?}"
+    );
+}

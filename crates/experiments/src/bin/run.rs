@@ -38,10 +38,11 @@
 //! scenario-matrix PR. Colon parameters override the per-model defaults,
 //! e.g. `--mobility manhattan:100:12` for 100 m blocks at 12 m/s.
 //!
-//! `--profile` switches the wall-clock profiler on: a per-bucket wall
-//! time table is printed after the run and the `--json` report gains a
-//! `perf` section. Profiling is strictly observational — the simulated
-//! results are bit-identical either way.
+//! `--profile` switches the wall-clock profiler on: topology rebuild
+//! counts by cause and a per-bucket wall time table are printed after
+//! the run, and the `--json` report gains a `perf` section. Profiling is
+//! strictly observational — the simulated results are bit-identical
+//! either way.
 //!
 //! `--recovery` switches the self-healing recovery layer on: rejoining
 //! nodes flood a version digest and drop stale copies before serving,
@@ -472,6 +473,10 @@ fn main() {
             perf.queue.peak_len,
             perf.queue.peak_capacity,
             perf.frames_sent,
+        );
+        println!(
+            "Topology rebuilds: {} for age, {} after invalidation",
+            perf.topology_rebuilds.age, perf.topology_rebuilds.invalidated,
         );
         let mut rows = Vec::new();
         for bucket in perf.top(10) {

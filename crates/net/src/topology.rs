@@ -6,6 +6,10 @@
 //! where construction is a spatial hash (O(n·k) for average degree `k`)
 //! and queries run allocation-free against a caller-owned
 //! [`TopologyScratch`].
+//!
+//! The spatial-hash build tests each unordered pair of nearby up nodes
+//! once, on squared distance, and calls the link filter `keep` once per
+//! in-range pair; see [`TopologyBuilder::rebuild`].
 
 use std::collections::VecDeque;
 
@@ -28,12 +32,13 @@ use mp2p_sim::NodeId;
 /// [`TopologyBuilder`]).
 ///
 /// Construction bins nodes into a [`CellGrid`] with cell side equal to
-/// the radio range, so each node only checks candidates in its 3 × 3
-/// cell block. The sorted emission order is *exactly* what the reference
-/// O(n²) ascending-pair scan ([`Topology::with_link_filter_naive`])
-/// produces, so swapping builds never changes event order, RNG draws, or
-/// any downstream result — the determinism guarantee the golden-fixture
-/// tests pin down.
+/// the radio range, so a pair can only link if its cells touch; one
+/// symmetric pass visits each such pair once and the CSR is filled from
+/// the resulting pair list. The edge set and the sorted rows are
+/// *exactly* what the reference O(n²) ascending-pair scan
+/// ([`Topology::with_link_filter_naive`]) produces, so swapping builds
+/// never changes event order, RNG draws, or any downstream result — the
+/// determinism guarantee the golden-fixture tests pin down.
 ///
 /// # Example
 ///
@@ -77,9 +82,9 @@ impl Topology {
     /// scheduled partition keeps only edges whose endpoints lie on the
     /// same side of a cut, without touching the nodes themselves.
     ///
-    /// `keep` must be a pure function of `(i, j)`: the spatial-hash build
-    /// may evaluate it from both endpoints of a pair (at most twice),
-    /// unlike the reference build's exactly-once.
+    /// `keep` is called exactly once per in-range pair of up nodes, as in
+    /// the reference build, but in cell order rather than ascending
+    /// `(i, j)` order, so it must be a pure function of `(i, j)`.
     ///
     /// # Panics
     ///
@@ -412,7 +417,7 @@ impl TopologyScratch {
 }
 
 /// Builds [`Topology`] snapshots with reusable scratch: the spatial-hash
-/// bins, the per-node sort buffer, and — via
+/// bins, the cell-ordered coordinates, the in-range pair list, and — via
 /// [`TopologyBuilder::rebuild`]'s `recycle` parameter — the CSR arrays of
 /// a retired snapshot. A steady-state rebuild (same node count, similar
 /// degree) performs no heap allocation.
@@ -420,14 +425,17 @@ impl TopologyScratch {
 pub struct TopologyBuilder {
     /// Linear cell index per node (valid only for connected nodes).
     cell_idx: Vec<u32>,
-    /// Cursor/boundary array over cells; after the fill phase, cell `c`
-    /// holds nodes `order[start(c)..cell_start[c]]` where `start(c)` is
-    /// `0` for the first cell and `cell_start[c - 1]` otherwise.
+    /// Cell boundaries: after binning, cell `c` holds entries
+    /// `cell_start[c]..cell_start[c + 1]` of `order`, `xs` and `ys`.
     cell_start: Vec<u32>,
     /// Connected node indices grouped by cell, ascending within a cell.
     order: Vec<u32>,
-    /// One node's candidate neighbours, sorted before CSR emission.
-    row: Vec<NodeId>,
+    /// Coordinates of `order`'s nodes, in the same cell order, so the
+    /// scan reads them in sequence.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    /// Every kept in-range pair `(i, j)`, `i < j`, in scan order.
+    pairs: Vec<(u32, u32)>,
 }
 
 impl TopologyBuilder {
@@ -451,7 +459,7 @@ impl TopologyBuilder {
     /// Builds a snapshot, cannibalising `recycle`'s CSR buffers when
     /// given so steady-state refreshes allocate nothing. The produced
     /// snapshot is identical to [`Topology::with_link_filter`]'s for the
-    /// same inputs (see that method for the `keep` purity contract).
+    /// same inputs (see that method for the `keep` contract).
     ///
     /// # Panics
     ///
@@ -478,92 +486,43 @@ impl TopologyBuilder {
         let (mut offsets, mut adjacency, mut conn) = match recycle {
             Some(t) => {
                 let Topology {
-                    mut offsets,
-                    mut adjacency,
+                    offsets,
+                    adjacency,
                     mut connected,
                     ..
                 } = t;
-                offsets.clear();
-                adjacency.clear();
                 connected.clear();
                 (offsets, adjacency, connected)
             }
             None => (Vec::with_capacity(n + 1), Vec::new(), Vec::new()),
         };
         conn.extend_from_slice(connected);
+        let shape = self.bin(positions, connected, range);
+        self.scan_pairs(shape, positions, range, keep);
 
-        // Bin connected nodes into range-sized cells by counting sort,
-        // in ascending id order so each cell's list is already sorted.
-        let grid = CellGrid::from_points(positions, range);
-        let cells = grid.cell_count();
-        assert!(
-            u32::try_from(cells).is_ok(),
-            "cell grid too fine: {cells} cells"
-        );
-        self.cell_idx.clear();
-        self.cell_idx.resize(n, 0);
-        self.cell_start.clear();
-        self.cell_start.resize(cells + 1, 0);
-        for i in 0..n {
-            if !connected[i] {
-                continue;
-            }
-            let c = grid.cell_index(positions[i]);
-            self.cell_idx[i] = c as u32;
-            self.cell_start[c + 1] += 1;
+        // CSR from the pair list: count degrees, then scatter both
+        // directions of every pair.
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for &(i, j) in &self.pairs {
+            offsets[i as usize] += 1;
+            offsets[j as usize] += 1;
         }
-        for c in 0..cells {
-            self.cell_start[c + 1] += self.cell_start[c];
-        }
-        let total_up = self.cell_start[cells] as usize;
-        self.order.clear();
-        self.order.resize(total_up, 0);
-        for (i, &up) in connected.iter().enumerate() {
-            if !up {
-                continue;
+        let edges = counts_to_ends(&mut offsets);
+        adjacency.clear();
+        adjacency.resize(edges, NodeId::new(0));
+        for &(i, j) in &self.pairs {
+            for (from, to) in [(i, j), (j, i)] {
+                let slot = &mut offsets[from as usize];
+                *slot -= 1;
+                adjacency[*slot as usize] = NodeId::new(to);
             }
-            let c = self.cell_idx[i] as usize;
-            self.order[self.cell_start[c] as usize] = i as u32;
-            self.cell_start[c] += 1;
         }
-        // After the fill, cell_start[c] is the *end* of cell c (and the
-        // start of cell c + 1), which is exactly what cell_nodes reads.
-
-        for i in 0..n {
-            offsets.push(adjacency.len() as u32);
-            if !connected[i] {
-                continue;
-            }
-            let p = positions[i];
-            let (cx, cy) = grid.cell_coords(p);
-            self.row.clear();
-            for cell_y in cy.saturating_sub(1)..=(cy + 1).min(grid.rows() - 1) {
-                for cell_x in cx.saturating_sub(1)..=(cx + 1).min(grid.cols() - 1) {
-                    let c = grid.index_of(cell_x, cell_y);
-                    let lo = if c == 0 { 0 } else { self.cell_start[c - 1] } as usize;
-                    let hi = self.cell_start[c] as usize;
-                    for &j in &self.order[lo..hi] {
-                        let j = j as usize;
-                        if j == i {
-                            continue;
-                        }
-                        // Evaluate distance and filter in the ascending
-                        // orientation the reference build uses, so results
-                        // (and float edge cases) match it bit-for-bit.
-                        let (a, b) = if i < j { (i, j) } else { (j, i) };
-                        if positions[a].distance(positions[b]) <= range && keep(a, b) {
-                            self.row.push(NodeId::new(j as u32));
-                        }
-                    }
-                }
-            }
-            // Cells were scanned row-major, so the candidates arrive
-            // cell-sorted, not id-sorted; restore the reference build's
-            // ascending order.
-            self.row.sort_unstable();
-            adjacency.extend_from_slice(&self.row);
+        // Pairs arrive in cell order; restore the reference build's
+        // ascending rows.
+        for w in offsets.windows(2) {
+            adjacency[w[0] as usize..w[1] as usize].sort_unstable();
         }
-        offsets.push(adjacency.len() as u32);
         Topology {
             offsets,
             adjacency,
@@ -571,6 +530,140 @@ impl TopologyBuilder {
             range,
         }
     }
+
+    /// Bins connected nodes into range-sized cells by counting sort and
+    /// lays their ids and coordinates out in cell order (ascending id
+    /// within a cell). Returns the grid's column and row counts.
+    fn bin(&mut self, positions: &[Point], connected: &[bool], range: f64) -> (usize, usize) {
+        let grid = CellGrid::from_points(positions, range);
+        let cells = grid.cell_count();
+        assert!(
+            u32::try_from(cells).is_ok(),
+            "cell grid too fine: {cells} cells"
+        );
+        self.cell_idx.clear();
+        self.cell_idx.resize(positions.len(), 0);
+        self.cell_start.clear();
+        self.cell_start.resize(cells + 1, 0);
+        for (i, &p) in positions.iter().enumerate() {
+            if connected[i] {
+                let c = grid.cell_index(p);
+                self.cell_idx[i] = c as u32;
+                self.cell_start[c] += 1;
+            }
+        }
+        // Filling in descending id order leaves each cell ascending.
+        let total = counts_to_ends(&mut self.cell_start);
+        self.order.resize(total, 0);
+        self.xs.resize(total, 0.0);
+        self.ys.resize(total, 0.0);
+        for i in (0..positions.len()).rev() {
+            if !connected[i] {
+                continue;
+            }
+            let slot = &mut self.cell_start[self.cell_idx[i] as usize];
+            *slot -= 1;
+            let k = *slot as usize;
+            self.order[k] = i as u32;
+            self.xs[k] = positions[i].x;
+            self.ys[k] = positions[i].y;
+        }
+        (grid.cols() as usize, grid.rows() as usize)
+    }
+
+    /// Collects every kept in-range pair into `pairs`, testing each
+    /// unordered pair of binned nodes at most once.
+    ///
+    /// A half stencil visits each pair of neighbouring cells from one
+    /// side only: a node meets the later entries of its own cell, then
+    /// the E, SW, S and SE cells. In cell order the own-cell tail and the
+    /// E cell are one contiguous run, and so are SW, S and SE.
+    ///
+    /// Distance is tested on `dx² + dy²` against `range²` widened and
+    /// narrowed by 1e-9. The squared sum's rounding error is a few ulps,
+    /// far inside that band, so outside it the comparison decides exactly
+    /// as `distance(a, b) <= range` would; inside it (and for every pair
+    /// when `range²` is not a finite normal number) that `hypot` test
+    /// itself decides, in the ascending orientation the reference build
+    /// uses. Decisions therefore match [`Topology::with_link_filter_naive`]
+    /// bit for bit.
+    fn scan_pairs(
+        &mut self,
+        (cols, rows): (usize, usize),
+        positions: &[Point],
+        range: f64,
+        keep: impl Fn(usize, usize) -> bool,
+    ) {
+        let r2 = range * range;
+        let (surely_in, surely_out) = if r2.is_normal() {
+            (r2 * (1.0 - 1e-9), r2 * (1.0 + 1e-9))
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        };
+        let TopologyBuilder {
+            cell_start,
+            order,
+            xs,
+            ys,
+            pairs,
+            ..
+        } = self;
+        pairs.clear();
+        let mut visit = |k: usize, span: std::ops::Range<usize>| {
+            let (x, y) = (xs[k], ys[k]);
+            for m in span {
+                let (dx, dy) = (x - xs[m], y - ys[m]);
+                let d2 = dx * dx + dy * dy;
+                let (i, j) = (order[k].min(order[m]), order[k].max(order[m]));
+                let in_range = if d2 < surely_in {
+                    true
+                } else if d2 > surely_out {
+                    false
+                } else {
+                    positions[i as usize].distance(positions[j as usize]) <= range
+                };
+                if in_range && keep(i as usize, j as usize) {
+                    pairs.push((i, j));
+                }
+            }
+        };
+        let start = |c: usize| cell_start[c] as usize;
+        for cy in 0..rows {
+            for cx in 0..cols {
+                let c = cy * cols + cx;
+                let has_east = usize::from(cx + 1 < cols);
+                let same_row_end = start(c + 1 + has_east);
+                let below = if cy + 1 < rows {
+                    let s = c + cols;
+                    start(s - usize::from(cx > 0))..start(s + 1 + has_east)
+                } else {
+                    0..0
+                };
+                for k in start(c)..start(c + 1) {
+                    visit(k, k + 1..same_row_end);
+                    visit(k, below.clone());
+                }
+            }
+        }
+    }
+}
+
+/// Counting-sort bookkeeping: turns the bucket counts in all but the
+/// last entry of `counts` into bucket ends, stores the total in the last
+/// entry and returns it. Each fill then decrements its bucket's entry
+/// and writes at the result, which leaves every entry at its bucket's
+/// start.
+fn counts_to_ends(counts: &mut [u32]) -> usize {
+    let (total, buckets) = counts
+        .split_last_mut()
+        .expect("counts end with a slot for the total");
+    let mut end = 0;
+    for c in buckets {
+        end += *c;
+        *c = end;
+    }
+    *total = end;
+    end as usize
 }
 
 #[cfg(test)]
@@ -703,38 +796,229 @@ mod tests {
         let mut up = vec![true; 100];
         up[3] = false;
         up[77] = false;
-        let keep = |i: usize, j: usize| !(i + j).is_multiple_of(7);
-        let grid = Topology::with_link_filter(&positions, &up, 250.0, keep);
-        let naive = Topology::with_link_filter_naive(&positions, &up, 250.0, keep);
-        assert_eq!(grid.edge_count(), naive.edge_count());
-        for i in 0..100u32 {
-            assert_eq!(
-                grid.neighbors(NodeId::new(i)),
-                naive.neighbors(NodeId::new(i)),
-                "node {i}: grid and naive neighbour lists differ"
-            );
-        }
+        assert_matches_naive(&positions, &up, 250.0, |i, j| !(i + j).is_multiple_of(7));
+        // The partition preset's vertical cut at the terrain midline.
+        let same_side = |i: usize, j: usize| (positions[i].x < 750.0) == (positions[j].x < 750.0);
+        assert_matches_naive(&positions, &up, 250.0, same_side);
+        assert_matches_naive(&positions, &[false; 100], 250.0, same_side);
     }
 
     #[test]
     fn builder_recycles_without_changing_results() {
+        // One builder and one recycled snapshot through worlds that grow
+        // and shrink, with some nodes down.
         let mut rng = mp2p_sim::SimRng::from_seed(12, 0);
-        let terrain = mp2p_mobility::Terrain::paper_default();
         let mut builder = TopologyBuilder::new();
         let mut prev: Option<Topology> = None;
-        for round in 0..5 {
-            let positions: Vec<Point> = (0..60).map(|_| terrain.random_point(&mut rng)).collect();
-            let up = vec![true; 60];
-            let fresh = Topology::new(&positions, &up, 250.0);
+        for n in [60usize, 60, 0, 5, 80, 400, 40, 1, 120, 0, 60] {
+            let side = (n.max(1) as f64 * 45_000.0).sqrt();
+            let terrain = mp2p_mobility::Terrain::new(side, side);
+            let positions: Vec<Point> = (0..n).map(|_| terrain.random_point(&mut rng)).collect();
+            let up: Vec<bool> = (0..n).map(|i| i % 11 != 4).collect();
+            let naive = Topology::with_link_filter_naive(&positions, &up, 250.0, |_, _| true);
             let rebuilt = builder.rebuild(prev.take(), &positions, &up, 250.0, |_, _| true);
-            for i in 0..60u32 {
+            assert_eq!(rebuilt.len(), n);
+            assert_eq!(rebuilt.edge_count(), naive.edge_count(), "n = {n}");
+            for i in 0..n as u32 {
+                let id = NodeId::new(i);
+                assert_eq!(rebuilt.is_up(id), naive.is_up(id), "n = {n}, node {i}");
                 assert_eq!(
-                    fresh.neighbors(NodeId::new(i)),
-                    rebuilt.neighbors(NodeId::new(i)),
-                    "round {round}, node {i}"
+                    rebuilt.neighbors(id),
+                    naive.neighbors(id),
+                    "n = {n}, node {i}"
                 );
             }
             prev = Some(rebuilt);
+        }
+    }
+
+    /// Asserts that a fresh build and a build recycling an unrelated
+    /// snapshot both equal the reference build, row for row.
+    fn assert_matches_naive(
+        positions: &[Point],
+        up: &[bool],
+        range: f64,
+        keep: impl Fn(usize, usize) -> bool + Copy,
+    ) {
+        let naive = Topology::with_link_filter_naive(positions, up, range, keep);
+        let fresh = Topology::with_link_filter(positions, up, range, keep);
+        let mut builder = TopologyBuilder::new();
+        let other = builder.build(&[Point::new(0.0, 0.0); 3], &[true; 3], 1.0, |_, _| true);
+        let recycled = builder.rebuild(Some(other), positions, up, range, keep);
+        for (label, built) in [("fresh", &fresh), ("recycled", &recycled)] {
+            assert_eq!(built.len(), naive.len(), "{label}: node count");
+            assert_eq!(
+                built.edge_count(),
+                naive.edge_count(),
+                "{label}: edge count"
+            );
+            for i in 0..positions.len() as u32 {
+                let id = NodeId::new(i);
+                assert_eq!(
+                    built.is_up(id),
+                    naive.is_up(id),
+                    "{label}: node {i} up flag"
+                );
+                assert_eq!(
+                    built.neighbors(id),
+                    naive.neighbors(id),
+                    "{label}: node {i} neighbours differ from the reference build"
+                );
+            }
+        }
+    }
+
+    /// Pairs of nodes at `range` and one ulp either side of it, each pair
+    /// placed far from the others so pairs cannot link across.
+    fn boundary_pairs(range: f64, base: Point) -> Vec<Point> {
+        let mut positions = Vec::new();
+        let offsets = |d: f64| {
+            [
+                (d, 0.0),
+                (0.0, d),
+                (-d, 0.0),
+                // 3-4-5 diagonals: exactly `d` apart when d = 250.
+                (d * 0.6, d * 0.8),
+                (-d * 0.8, d * 0.6),
+                (d / 2f64.sqrt(), d / 2f64.sqrt()),
+            ]
+        };
+        let mut slot = 0.0;
+        for d in [range, range.next_up(), range.next_down()] {
+            for (dx, dy) in offsets(d) {
+                let a = Point::new(base.x + slot, base.y);
+                positions.push(a);
+                positions.push(Point::new(a.x + dx, a.y + dy));
+                slot += 5.0 * range;
+            }
+        }
+        positions
+    }
+
+    #[test]
+    fn pairs_at_the_range_boundary_match_reference() {
+        for base in [
+            Point::new(0.0, 0.0),
+            Point::new(1_234.567_891, 987.654_321),
+            Point::new(-7_777.125, 31_415.926_535),
+        ] {
+            let positions = boundary_pairs(250.0, base);
+            let n = positions.len();
+            assert_matches_naive(&positions, &vec![true; n], 250.0, |_, _| true);
+        }
+        // The 250 m axis and 3-4-5 pairs at the origin are exactly at
+        // range, so the reference links them and so must the squared test.
+        let t = Topology::new(
+            &boundary_pairs(250.0, Point::new(0.0, 0.0)),
+            &[true; 36],
+            250.0,
+        );
+        for pair in [0u32, 1, 2, 3] {
+            assert!(t.are_neighbors(NodeId::new(2 * pair), NodeId::new(2 * pair + 1)));
+        }
+    }
+
+    #[test]
+    fn pairs_where_squaring_and_hypot_disagree_follow_hypot() {
+        // Offsets one rounding away from 250 m, found by search: the
+        // rounded dx² + dy² lands on the other side of 250² than
+        // `hypot(dx, dy)` lands of 250.
+        let hypot_in = [
+            (249.904_015_616_648_34, 6.926_974_712_960_247),
+            (163.572_822_606_484_5, 189.060_656_151_795_8),
+            (200.368_044_032_269_2, 149.508_016_275_658_72),
+        ];
+        let hypot_out = [
+            (153.643_100_103_235_27, 197.215_105_381_578_8),
+            (191.765_768_279_167_62, 160.392_924_146_611_28),
+            (203.714_847_645_563_4, 144.914_667_472_774_82),
+        ];
+        for (linked, offsets) in [(true, hypot_in), (false, hypot_out)] {
+            for (dx, dy) in offsets {
+                for (sx, sy) in [(1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)] {
+                    let positions = [Point::new(0.0, 0.0), Point::new(sx * dx, sy * dy)];
+                    assert_eq!(positions[0].distance(positions[1]) <= 250.0, linked);
+                    assert_matches_naive(&positions, &[true; 2], 250.0, |_, _| true);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn near_boundary_random_pairs_match_reference() {
+        // Random bases and angles at distances within a few ulps of
+        // range: every pair lands in the band where the squared test
+        // defers to `hypot`.
+        let mut rng = mp2p_sim::SimRng::from_seed(21, 0);
+        let range = 250.0_f64;
+        let mut positions = Vec::new();
+        for k in 0..400 {
+            let a = Point::new(
+                (k % 20) as f64 * 1_500.0 + rng.uniform_f64() * 100.0,
+                (k / 20) as f64 * 1_500.0 + rng.uniform_f64() * 100.0,
+            );
+            let angle = rng.uniform_f64() * std::f64::consts::TAU;
+            let mut d = range;
+            for _ in 0..(k % 9) {
+                d = if k % 2 == 0 {
+                    d.next_up()
+                } else {
+                    d.next_down()
+                };
+            }
+            positions.push(a);
+            positions.push(Point::new(a.x + d * angle.cos(), a.y + d * angle.sin()));
+        }
+        let n = positions.len();
+        assert_matches_naive(&positions, &vec![true; n], range, |_, _| true);
+    }
+
+    #[test]
+    fn coincident_points_match_reference() {
+        let mut positions = vec![Point::new(100.0, 100.0); 6];
+        positions.extend([Point::new(300.0, 100.0); 3]);
+        positions.push(Point::new(700.0, 700.0));
+        positions.push(Point::new(700.0, 700.0));
+        let n = positions.len();
+        assert_matches_naive(&positions, &vec![true; n], 250.0, |_, _| true);
+        let t = Topology::new(&positions, &vec![true; n], 250.0);
+        assert_eq!(t.neighbors(NodeId::new(10)), &[NodeId::new(9)]);
+    }
+
+    #[test]
+    fn single_cell_and_strip_grids_match_reference() {
+        let mut rng = mp2p_sim::SimRng::from_seed(22, 0);
+        // Every node in one cell: the span is below the cell side, but
+        // diagonal pairs can still be out of range.
+        let one_cell: Vec<Point> = (0..40)
+            .map(|_| Point::new(rng.uniform_f64() * 249.0, rng.uniform_f64() * 249.0))
+            .collect();
+        assert_matches_naive(&one_cell, &[true; 40], 250.0, |_, _| true);
+        // A 1 × N strip along each axis.
+        let row: Vec<Point> = (0..60)
+            .map(|_| Point::new(rng.uniform_f64() * 5_000.0, 42.0))
+            .collect();
+        assert_matches_naive(&row, &[true; 60], 250.0, |_, _| true);
+        let column: Vec<Point> = row.iter().map(|p| Point::new(-3.5, p.x)).collect();
+        assert_matches_naive(&column, &[true; 60], 250.0, |_, _| true);
+    }
+
+    #[test]
+    fn ranges_whose_square_is_not_normal_match_reference() {
+        // 1e200² overflows and 1e-200² underflows: every pair takes the
+        // `hypot` test.
+        for range in [1e200, 1e-200] {
+            let mut positions = boundary_pairs(range, Point::new(0.0, 0.0));
+            positions.push(Point::new(range * 0.5, range * 0.25));
+            positions.push(Point::new(range * 0.5, range * 0.25));
+            let n = positions.len();
+            assert_matches_naive(&positions, &vec![true; n], range, |_, _| true);
+            let t = Topology::new(&positions, &vec![true; n], range);
+            assert!(
+                t.are_neighbors(NodeId::new(0), NodeId::new(1)),
+                "range {range}"
+            );
+            assert!(t.edge_count() > 0);
         }
     }
 

@@ -47,7 +47,7 @@ mod rng;
 mod time;
 
 pub use ids::{ItemId, NodeId};
-pub use profile::{PerfBucket, PerfReport, Profiler};
+pub use profile::{PerfBucket, PerfReport, Profiler, TopologyRebuilds};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::{SimRng, Zipf};
 pub use time::{SimDuration, SimTime};

@@ -158,8 +158,20 @@ impl Profiler {
             queue: QueueStats::default(),
             frames_sent: 0,
             journal_bytes: 0,
+            topology_rebuilds: TopologyRebuilds::default(),
         })
     }
+}
+
+/// Topology snapshot rebuilds over a run, by what forced them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TopologyRebuilds {
+    /// The snapshot was older than the refresh interval.
+    pub age: u64,
+    /// There was no snapshot: the first build, or connectivity changed
+    /// (a peer switched, a partition opened or healed, a node crashed or
+    /// recovered) and the old snapshot was dropped.
+    pub invalidated: u64,
 }
 
 /// The end-of-run profiling report: where wall-clock time went, how the
@@ -181,6 +193,8 @@ pub struct PerfReport {
     pub frames_sent: u64,
     /// Bytes the flight recorder wrote to its journal (0 untraced).
     pub journal_bytes: u64,
+    /// Topology snapshot rebuilds over the whole run, warm-up included.
+    pub topology_rebuilds: TopologyRebuilds,
 }
 
 impl PerfReport {
@@ -248,6 +262,11 @@ impl PerfReport {
             s,
             ",\"frames_sent\":{},\"journal_bytes\":{}",
             self.frames_sent, self.journal_bytes,
+        );
+        let _ = write!(
+            s,
+            ",\"topology_rebuilds\":{{\"age\":{},\"invalidated\":{}}}",
+            self.topology_rebuilds.age, self.topology_rebuilds.invalidated,
         );
         s.push_str(",\"buckets\":[");
         for (i, b) in self.buckets.iter().enumerate() {
@@ -344,6 +363,10 @@ mod tests {
         };
         report.frames_sent = 7;
         report.journal_bytes = 321;
+        report.topology_rebuilds = TopologyRebuilds {
+            age: 5,
+            invalidated: 12,
+        };
         let json = report.to_json();
         for key in [
             "\"wall_secs\":",
@@ -354,6 +377,7 @@ mod tests {
             "\"queue\":{\"pushes\":10,\"pops\":9,\"peak_len\":4,\"peak_capacity\":16}",
             "\"frames_sent\":7",
             "\"journal_bytes\":321",
+            "\"topology_rebuilds\":{\"age\":5,\"invalidated\":12}",
             "\"name\":\"event:sample\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
