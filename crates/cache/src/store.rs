@@ -1,6 +1,6 @@
 //! The per-node LRU cache store (`C_Num` slots, Table 1).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mp2p_sim::{ItemId, SimTime};
 
@@ -41,7 +41,7 @@ pub struct CacheEntry {
 #[derive(Debug, Clone)]
 pub struct CacheStore {
     capacity: usize,
-    entries: HashMap<ItemId, Slot>,
+    entries: BTreeMap<ItemId, Slot>,
     clock: u64,
 }
 
@@ -61,7 +61,7 @@ impl CacheStore {
         assert!(capacity > 0, "cache capacity must be positive");
         CacheStore {
             capacity,
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             clock: 0,
         }
     }
@@ -171,7 +171,7 @@ impl CacheStore {
         self.entries.remove(&item).map(|s| s.entry)
     }
 
-    /// Iterates over cached `(item, entry)` pairs in arbitrary order.
+    /// Iterates over cached `(item, entry)` pairs in ascending item order.
     pub fn iter(&self) -> impl Iterator<Item = (ItemId, &CacheEntry)> {
         self.entries.iter().map(|(&id, slot)| (id, &slot.entry))
     }

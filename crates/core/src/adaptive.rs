@@ -15,7 +15,7 @@
 //!   adaptive-TTL rule of classic web caching (Gwertzman & Seltzer
 //!   [Gwe96], cited by the paper).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mp2p_sim::{ItemId, SimDuration, SimTime};
 
@@ -29,7 +29,7 @@ pub struct AdaptiveTuner {
     /// EWMA of the source's inter-update gap, in milliseconds.
     mean_gap_ms: Option<f64>,
     /// Per-item TTP multiplier, in `[1/span, span]`.
-    ttp_scale: HashMap<ItemId, f64>,
+    ttp_scale: BTreeMap<ItemId, f64>,
 }
 
 impl AdaptiveTuner {
@@ -49,7 +49,7 @@ impl AdaptiveTuner {
             alpha: 0.3,
             last_update_at: None,
             mean_gap_ms: None,
-            ttp_scale: HashMap::new(),
+            ttp_scale: BTreeMap::new(),
         }
     }
 

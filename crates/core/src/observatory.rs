@@ -11,7 +11,7 @@
 //!   fresh-copy fraction, per-item replication, a staleness-age histogram
 //!   ([`mp2p_metrics::AGE_BUCKET_EDGES`]), reachable-partition count and
 //!   relay coverage — emitted as `TraceEvent::ConsistencySample` timeline
-//!   records (journal schema 2).
+//!   records.
 //! * **Blame attribution** ([`ObservatoryConfig::blame`]) tracks, per
 //!   cached copy, which update-propagation obstructions it suffered, so
 //!   every stale serve is tagged with its proximate [`BlameCause`] in a

@@ -6,7 +6,7 @@
 //! layer: every transmitted frame already carries a deterministic
 //! identity `(origin, seq)` — floods and unicasts draw from the same
 //! per-node monotonic counter — and with provenance on the world journals
-//! that identity's full life cycle as schema-4 records:
+//! that identity's full life cycle as these records:
 //!
 //! * [`mp2p_trace::TraceEvent::FrameBorn`] — a frame's first transmission
 //!   (hop count 0), with its message class, unicast destination and the
@@ -34,7 +34,7 @@
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProvenanceConfig {
     /// Journal every frame's birth, relay hops and terminal fate
-    /// (`FrameBorn` / `FrameHop` / `FrameFate`, journal schema ≥ 4).
+    /// (`FrameBorn` / `FrameHop` / `FrameFate`).
     pub frames: bool,
     /// Journal a `CopyLineage` record for every cached copy installed or
     /// refreshed from a delivered message. Requires [`frames`]: a lineage

@@ -7,7 +7,7 @@
 //! unicast `POLL_ACK_A`/`POLL_ACK_B`. On-demand polling gives pull its
 //! short latency (Fig. 8) and its dominating traffic (Fig. 7).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mp2p_cache::Version;
 use mp2p_sim::{ItemId, NodeId};
@@ -29,7 +29,7 @@ struct PendingPoll {
 #[derive(Debug, Clone)]
 pub struct SimplePull {
     publishes: bool,
-    pending: HashMap<QueryId, PendingPoll>,
+    pending: BTreeMap<QueryId, PendingPoll>,
 }
 
 impl SimplePull {
@@ -37,7 +37,7 @@ impl SimplePull {
     pub fn new(_cfg: &ProtocolConfig, publishes: bool) -> Self {
         SimplePull {
             publishes,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
         }
     }
 
@@ -62,16 +62,7 @@ impl SimplePull {
     }
 
     fn answer_pending_for(&mut self, ctx: &mut Ctx<'_>, item: ItemId, version: Version) {
-        let mut queries: Vec<QueryId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.item == item)
-            .map(|(&q, _)| q)
-            .collect();
-        // HashMap iteration order is process-random: sort for determinism.
-        queries.sort_unstable();
-        for q in queries {
-            self.pending.remove(&q);
+        for (q, _) in self.pending.extract_if(.., |_, p| p.item == item) {
             // Only the source host answers polls in simple pull.
             ctx.answer(q, version, ServedBy::Source);
         }

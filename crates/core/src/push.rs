@@ -11,7 +11,7 @@
 //! so validated) less often, raising the per-query staleness probability
 //! — the reason push traffic grows with the cache size in Fig. 7(c).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mp2p_cache::Version;
 use mp2p_sim::{ItemId, NodeId, SimDuration};
@@ -35,12 +35,12 @@ struct PendingFetch {
 pub struct SimplePush {
     publishes: bool,
     /// Queries waiting for the next invalidation report, per item.
-    waiting: HashMap<ItemId, Vec<QueryId>>,
+    waiting: BTreeMap<ItemId, Vec<QueryId>>,
     /// Queries waiting for a FETCH_REPLY.
-    pending_fetch: HashMap<QueryId, PendingFetch>,
+    pending_fetch: BTreeMap<QueryId, PendingFetch>,
     /// True while a refresh fetch for the item is already in flight
     /// (avoids duplicate fetches when reports repeat).
-    fetch_in_flight: HashMap<ItemId, bool>,
+    fetch_in_flight: BTreeMap<ItemId, bool>,
 }
 
 impl SimplePush {
@@ -48,9 +48,9 @@ impl SimplePush {
     pub fn new(_cfg: &ProtocolConfig, publishes: bool) -> Self {
         SimplePush {
             publishes,
-            waiting: HashMap::new(),
-            pending_fetch: HashMap::new(),
-            fetch_in_flight: HashMap::new(),
+            waiting: BTreeMap::new(),
+            pending_fetch: BTreeMap::new(),
+            fetch_in_flight: BTreeMap::new(),
         }
     }
 
@@ -95,16 +95,7 @@ impl SimplePush {
                 ctx.answer(q, entry.version, vouched_by);
             }
         }
-        let mut fetched: Vec<QueryId> = self
-            .pending_fetch
-            .iter()
-            .filter(|(_, p)| p.item == item)
-            .map(|(&q, _)| q)
-            .collect();
-        // HashMap iteration order is process-random: sort for determinism.
-        fetched.sort_unstable();
-        for q in fetched {
-            self.pending_fetch.remove(&q);
+        for (q, _) in self.pending_fetch.extract_if(.., |_, p| p.item == item) {
             ctx.answer(q, entry.version, ServedBy::Source);
         }
     }
@@ -120,7 +111,7 @@ impl SimplePush {
         if entries.is_empty() {
             return;
         }
-        // HashMap iteration order is process-random: sort for determinism.
+        // The own item was appended after the id-ordered cache entries.
         entries.sort_unstable_by_key(|&(id, _)| id);
         let items = entries.len() as u32;
         for digest in VersionDigest::chunk(&entries) {
@@ -311,16 +302,7 @@ impl Protocol for SimplePush {
     fn on_undeliverable(&mut self, ctx: &mut Ctx<'_>, _dest: NodeId, msg: ProtoMsg) {
         if let ProtoMsg::Fetch { item, .. } = msg {
             self.fetch_in_flight.insert(item, false);
-            let mut queries: Vec<QueryId> = self
-                .pending_fetch
-                .iter()
-                .filter(|(_, p)| p.item == item)
-                .map(|(&q, _)| q)
-                .collect();
-            // HashMap iteration order is process-random: sort for determinism.
-            queries.sort_unstable();
-            for q in queries {
-                self.pending_fetch.remove(&q);
+            for (q, _) in self.pending_fetch.extract_if(.., |_, p| p.item == item) {
                 ctx.fail(q);
             }
         }

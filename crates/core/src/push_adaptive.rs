@@ -11,7 +11,7 @@
 //! report-cycle consistency (the same level RPCC's relays provide, but
 //! with every source flooding at full TTL instead of a relay overlay).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mp2p_sim::{ItemId, NodeId, SimDuration, SimTime};
 use mp2p_trace::{ServedBy, SpanPhase};
@@ -33,9 +33,9 @@ struct PendingFetch {
 pub struct PushAdaptivePull {
     publishes: bool,
     /// When each item's latest invalidation report was heard.
-    last_report: HashMap<ItemId, SimTime>,
+    last_report: BTreeMap<ItemId, SimTime>,
     /// Queries waiting for a FETCH_REPLY.
-    pending: HashMap<QueryId, PendingFetch>,
+    pending: BTreeMap<QueryId, PendingFetch>,
 }
 
 impl PushAdaptivePull {
@@ -43,8 +43,8 @@ impl PushAdaptivePull {
     pub fn new(_cfg: &ProtocolConfig, publishes: bool) -> Self {
         PushAdaptivePull {
             publishes,
-            last_report: HashMap::new(),
-            pending: HashMap::new(),
+            last_report: BTreeMap::new(),
+            pending: BTreeMap::new(),
         }
     }
 
@@ -71,16 +71,7 @@ impl PushAdaptivePull {
         let Some(entry) = ctx.cache.peek(item).copied() else {
             return;
         };
-        let mut queries: Vec<QueryId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.item == item)
-            .map(|(&q, _)| q)
-            .collect();
-        // HashMap iteration order is process-random: sort for determinism.
-        queries.sort_unstable();
-        for q in queries {
-            self.pending.remove(&q);
+        for (q, _) in self.pending.extract_if(.., |_, p| p.item == item) {
             // Fetch-blocked queries are always served fresh source content.
             ctx.answer(q, entry.version, ServedBy::Source);
         }
@@ -212,15 +203,7 @@ impl Protocol for PushAdaptivePull {
 
     fn on_undeliverable(&mut self, ctx: &mut Ctx<'_>, _dest: NodeId, msg: ProtoMsg) {
         if let ProtoMsg::Fetch { item, .. } = msg {
-            let mut queries: Vec<QueryId> = self
-                .pending
-                .iter()
-                .filter(|(_, p)| p.item == item)
-                .map(|(&q, _)| q)
-                .collect();
-            queries.sort_unstable();
-            for q in queries {
-                self.pending.remove(&q);
+            for (q, _) in self.pending.extract_if(.., |_, p| p.item == item) {
                 ctx.fail(q);
             }
         }

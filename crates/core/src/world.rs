@@ -5,6 +5,8 @@
 //! scenario: Table 1's parameters are [`WorldConfig::paper_default`], the
 //! Fig. 9 single-item scenario is [`WorkloadMode::SingleItem`].
 
+use std::collections::BTreeMap;
+
 use mp2p_cache::{CacheStore, DataItem, Version};
 use mp2p_metrics::{
     age_bucket, ConsistencyAudit, EnergyModel, Gauge, LatencyStats, MessageClass, PeerEnergy,
@@ -196,8 +198,8 @@ pub struct WorldConfig {
     /// build.
     pub observatory: ObservatoryConfig,
     /// Frame-level provenance switches (causal lineage tracing).
-    /// [`ProvenanceConfig::off`] — the default — emits no schema-4
-    /// records and draws no randomness: a default run is bit-identical
+    /// [`ProvenanceConfig::off`] — the default — emits no frame or
+    /// lineage records and draws no randomness: a default run is bit-identical
     /// to one from a pre-provenance build.
     pub provenance: ProvenanceConfig,
     /// Master random seed.
@@ -815,8 +817,8 @@ pub struct World {
     /// Fig. 9 single-item source (when applicable).
     single_source: Option<NodeId>,
     next_query_id: u64,
-    open: std::collections::HashMap<QueryId, OpenQuery>,
-    open_writes: std::collections::HashMap<QueryId, OpenWrite>,
+    open: BTreeMap<QueryId, OpenQuery>,
+    open_writes: BTreeMap<QueryId, OpenWrite>,
     write_rngs: Vec<SimRng>,
     histories: Vec<VersionHistory>,
     // metrics
@@ -999,8 +1001,8 @@ impl World {
             grid,
             single_source,
             next_query_id: 0,
-            open: std::collections::HashMap::new(),
-            open_writes: std::collections::HashMap::new(),
+            open: BTreeMap::new(),
+            open_writes: BTreeMap::new(),
             write_rngs,
             histories,
             traffic: TrafficStats::default(),
@@ -1082,7 +1084,7 @@ impl World {
         for ev in self.nodes[node.index()].stack.take_events() {
             // The stack's dup/hop-budget/no-route diagnostics are frame
             // deaths; with provenance on each also closes its frame's
-            // life cycle as a schema-4 fate record.
+            // life cycle as a fate record.
             let fate = match ev {
                 NetEvent::FloodDupDrop { origin, seq } => {
                     Some((origin, seq, FrameFateKind::DupDrop))
@@ -1261,12 +1263,12 @@ impl World {
         // Queries still legitimately in flight when the run ends are
         // censored observations, not failures: remove them from the
         // issued count so served + failed == issued stays exact.
-        for (_, open) in self.open.drain() {
+        for open in std::mem::take(&mut self.open).into_values() {
             if open.measured {
                 self.queries_issued -= 1;
             }
         }
-        for (_, open) in self.open_writes.drain() {
+        for open in std::mem::take(&mut self.open_writes).into_values() {
             if open.measured {
                 self.writes_issued -= 1;
             }
@@ -1484,23 +1486,21 @@ impl World {
             Some(fr) => fr.crash_victims[idx],
             None => return,
         };
-        let mut orphans: Vec<QueryId> = self
+        let orphans: Vec<QueryId> = self
             .open
             .iter()
             .filter(|(_, q)| q.node == id)
             .map(|(&q, _)| q)
             .collect();
-        orphans.sort_unstable(); // hash order is process-random
         for query in orphans {
             self.close_failed(id, query);
         }
-        let mut dead_writes: Vec<QueryId> = self
+        let dead_writes: Vec<QueryId> = self
             .open_writes
             .iter()
             .filter(|(_, w)| w.writer == id)
             .map(|(&q, _)| q)
             .collect();
-        dead_writes.sort_unstable();
         for write in dead_writes {
             self.close_write_failed(write);
         }
@@ -1675,14 +1675,11 @@ impl World {
         let item = match self.single_source {
             Some(src) => src.owned_item(),
             None => {
-                let mut cached: Vec<ItemId> = self.nodes[id.index()]
+                let cached: Vec<ItemId> = self.nodes[id.index()]
                     .cache
                     .iter()
                     .map(|(it, _)| it)
                     .collect();
-                // The store iterates in process-random hash order; sort so
-                // the uniform choice below is deterministic per seed.
-                cached.sort_unstable();
                 match self.nodes[id.index()].rng.choose(&cached) {
                     Some(&item) => item,
                     None => return, // empty cache: nothing to query
@@ -2333,12 +2330,11 @@ impl World {
         let item = match self.single_source {
             Some(src) => src.owned_item(),
             None => {
-                let mut cached: Vec<ItemId> = self.nodes[id.index()]
+                let cached: Vec<ItemId> = self.nodes[id.index()]
                     .cache
                     .iter()
                     .map(|(it, _)| it)
                     .collect();
-                cached.sort_unstable();
                 match self.nodes[id.index()].rng.choose(&cached) {
                     Some(&item) => item,
                     None => return,
@@ -2422,8 +2418,7 @@ impl World {
         let Some((&write, _)) = self
             .open_writes
             .iter()
-            .filter(|(_, w)| w.item == item && w.writer == node)
-            .min_by_key(|(&q, _)| q)
+            .find(|(_, w)| w.item == item && w.writer == node)
         else {
             return;
         };

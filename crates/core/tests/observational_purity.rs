@@ -67,7 +67,7 @@ fn report_without_layer(strategy: Strategy, preset: &str, layer: Layer) -> Strin
         }
         Layer::Journal => {
             let bytes = CountingWriter::default();
-            let sink = JsonlSink::new_with_warmup(Box::new(bytes.clone()), warmup);
+            let sink = JsonlSink::new_v4_with_warmup(Box::new(bytes.clone()), warmup);
             world.set_tracer(Box::new(sink));
             let (report, sink) = world.run_traced();
             drop(sink);

@@ -45,7 +45,7 @@ fn run(seed: u64, profiled: bool) -> (RunReport, Vec<u8>) {
     if profiled {
         world.enable_profiling();
     }
-    let sink = JsonlSink::new_with_warmup(Box::new(buf.clone()), warmup);
+    let sink = JsonlSink::new_v4_with_warmup(Box::new(buf.clone()), warmup);
     world.set_tracer(Box::new(sink));
     let (report, sink) = world.run_traced();
     drop(sink);

@@ -8,7 +8,7 @@
 //! acks for polls never sent, UPDATEs from non-sources, CANCELs from
 //! strangers, replies after demotion, duplicated and reordered traffic.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
@@ -171,7 +171,7 @@ fn drive<P: Protocol>(mut proto: P, steps: &[Step], adaptive: bool) {
     let mut now = SimTime::ZERO;
     let mut connected = true;
     let mut next_query = 0u64;
-    let mut open: HashSet<QueryId> = HashSet::new();
+    let mut open: BTreeSet<QueryId> = BTreeSet::new();
 
     // init
     {

@@ -18,7 +18,7 @@
 //!    and the recovery counters only appear in the JSON when the layer
 //!    is switched on.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 // `mp2p_rpcc::Strategy` (the protocol selector) shadows the prelude's
@@ -126,7 +126,7 @@ proptest! {
         frames in proptest::collection::vec((0u32..4, 0u32..4, 1u64..32), 0..120),
     ) {
         let mut tracker = SeqTracker::new();
-        let mut accepted: HashMap<(u32, u32), u64> = HashMap::new();
+        let mut accepted: BTreeMap<(u32, u32), u64> = BTreeMap::new();
         for &(peer, item, seq) in &frames {
             let fresh = tracker.is_new(NodeId::new(peer), ItemId::new(item), seq);
             let highest = accepted.entry((peer, item)).or_insert(0);

@@ -25,8 +25,8 @@
 //! `consistency` section (exit 1 on any mismatch).
 //!
 //! `--explain` is the causal root-cause explainer: it walks the
-//! provenance graph (frame births, hops, fates, copy lineage — journal
-//! schema 4, written by `run --provenance`) and prints one causal chain
+//! provenance graph (frame births, hops, fates, copy lineage — journaled
+//! by `run --provenance`) and prints one causal chain
 //! per stale serve, from the missed source update through the dropped or
 //! delayed frame to the recovery action that repaired the copy.
 //! `--explain QUERY` explains one query; `--explain --stale-serves`

@@ -7,7 +7,9 @@
 //! failure rate, relay population and energy for Pull, Push and the four
 //! RPCC variants. With `--trace PREFIX`, each strategy's run additionally
 //! writes a flight-recorder journal to `PREFIX-<name>.jsonl` (strategy
-//! names are sanitised for the filesystem: `RPCC(SC)` → `RPCC-SC`).
+//! names are sanitised for the filesystem: `RPCC(SC)` → `RPCC-SC`) whose
+//! header carries the run's warm-up, so `analyze --report` cross-checks it
+//! against that strategy's report.
 //! `--json FILE` writes every run's machine-readable report — the same
 //! `RunReport::to_json` objects the `run` binary emits — as
 //! `{"seed":N,"reports":[...]}`.
@@ -16,19 +18,18 @@
 //! the table gains a consistency scorecard (stale serves attributed,
 //! Δ-consistency violations and the dominant blame cause per strategy),
 //! each report in `--json` carries its `consistency` section, and
-//! `--trace` journals are written at schema 2.
+//! `--trace` journals gain the observatory records.
 //!
 //! `--recovery` switches the self-healing recovery layer on for every
 //! strategy run (rejoin resync, acknowledged updates with bounded
 //! retransmit, relay-lease handover); the table gains the recovery
-//! counters and `--trace` journals are written at schema 3. Run the same
+//! counters and `--trace` journals gain the recovery records. Run the same
 //! comparison with and without the flag to measure what recovery buys
 //! under a fault preset.
 //!
 //! `--provenance` switches the causal provenance engine on for every
 //! strategy run: frame births, hops, fates and copy lineage are
-//! journaled, and `--trace` journals are written at schema 4 so
-//! `analyze --explain` can walk them.
+//! journaled, so `analyze --explain` can walk the `--trace` journals.
 
 use mp2p_experiments::{cli, render_table, RunOptions};
 use mp2p_metrics::MessageClass;
@@ -146,19 +147,7 @@ fn main() {
             let mut world = World::new(cfg);
             if let Some(prefix) = &trace_prefix {
                 let path = format!("{prefix}-{}.jsonl", sanitize(spec.name));
-                // Provenance records are schema-4 kinds, recovery records
-                // schema-3 and observatory records schema-2; an older
-                // journal would silently skip them.
-                let made = if provenance {
-                    JsonlSink::create_v4_with_warmup(std::path::Path::new(&path), opts.warmup)
-                } else if recovery {
-                    JsonlSink::create_v3_with_warmup(std::path::Path::new(&path), opts.warmup)
-                } else if consistency {
-                    JsonlSink::create_v2_with_warmup(std::path::Path::new(&path), opts.warmup)
-                } else {
-                    JsonlSink::create(std::path::Path::new(&path))
-                };
-                match made {
+                match JsonlSink::create_v4_with_warmup(std::path::Path::new(&path), opts.warmup) {
                     Ok(sink) => {
                         world.set_tracer(Box::new(sink));
                         eprintln!("tracing {} -> {path}", spec.name);

@@ -23,10 +23,11 @@
 //!
 //! `--trace` switches the flight recorder on: every message, relay
 //! transition, query and churn event is appended to the given JSONL file
-//! (with a versioned `{"schema":...}` header line), and an event-count
-//! table is printed after the run. `--json` writes the machine-readable
-//! run report; feed both to the `analyze` binary to reconstruct query
-//! spans and cross-check them against the report's counters.
+//! (after a `{"schema":4,...}` header line carrying the warm-up), and an
+//! event-count table is printed after the run. `--json` writes the
+//! machine-readable run report; feed both to the `analyze` binary to
+//! reconstruct query spans and cross-check them against the report's
+//! counters.
 //!
 //! `--faults` installs one of the chaos presets (scaled to the simulated
 //! duration); `--hardened` switches on the protocol-hardening knobs
@@ -49,27 +50,24 @@
 //! source updates are acknowledged and retransmitted from a bounded
 //! queue, and an expiring relay lease is handed to a cached neighbour
 //! instead of orphaning the item. The `--json` report gains the recovery
-//! counters and a `--trace` journal is written at schema 3 so the
-//! recovery records fit.
+//! counters and a `--trace` journal gains the recovery records.
 //!
 //! `--consistency` switches the consistency observatory on: the
 //! divergence sampler ticks every `--sample-secs` (default 30) simulated
 //! seconds, every stale serve is blame-attributed, the `--json` report
-//! gains a `consistency` section, and a `--trace` journal is written at
-//! schema 2 so the `ConsistencySample`/`StaleServe` records fit. Without
-//! the flag the journal and report bytes are identical to a build without
-//! the observatory.
+//! gains a `consistency` section, and a `--trace` journal gains the
+//! `ConsistencySample`/`StaleServe` records. Without the flag the report
+//! bytes are identical to a build without the observatory.
 //!
 //! `--provenance` switches the causal provenance engine on: every
 //! transmitted frame gets a deterministic `(origin, seq)` identity, and
 //! its birth, every re-transmission hop, and its terminal fate (delivered,
 //! duplicate-suppressed, or dropped with the injecting fault's cause) are
 //! journaled, along with a lineage record for every cached copy naming
-//! the frame that carried it in. The `--trace` journal is written at
-//! schema 4 so the frame records fit; feed it to
+//! the frame that carried it in. Feed the `--trace` journal to
 //! `analyze --explain --stale-serves` to walk every stale serve back to
-//! its root cause. Off by default — without the flag the journal bytes
-//! are identical to a build without the engine.
+//! its root cause. Off by default — without the flag the journal carries
+//! no frame records.
 //!
 //! `--metrics-out` dumps the final windowed metrics-registry snapshot
 //! after the run: the given path gets the JSON form and a sibling
@@ -268,9 +266,6 @@ fn main() {
     );
     let writes_on = cfg.i_write.is_some();
     let warmup = cfg.warmup;
-    let observatory_on = cfg.observatory.enabled();
-    let recovery_on = cfg.proto.recovery.enabled();
-    let provenance_on = cfg.provenance.enabled();
     let mut world = World::new(cfg);
     if profile {
         world.enable_profiling();
@@ -282,19 +277,7 @@ fn main() {
     let mut summary_idx = None;
     let mut registry_idx = None;
     if let Some(path) = &trace_path {
-        // The provenance engine's records are schema-4 kinds, the
-        // recovery layer's schema-3 and the observatory's schema-2; an
-        // older sink would silently skip them.
-        let made = if provenance_on {
-            JsonlSink::create_v4_with_warmup(path, warmup)
-        } else if recovery_on {
-            JsonlSink::create_v3_with_warmup(path, warmup)
-        } else if observatory_on {
-            JsonlSink::create_v2_with_warmup(path, warmup)
-        } else {
-            JsonlSink::create_with_warmup(path, warmup)
-        };
-        let jsonl = match made {
+        let jsonl = match JsonlSink::create_v4_with_warmup(path, warmup) {
             Ok(sink) => sink,
             Err(err) => {
                 eprintln!("cannot create trace file {}: {err}", path.display());

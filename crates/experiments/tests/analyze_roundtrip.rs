@@ -8,7 +8,7 @@ use mp2p_experiments::{analyze_file, crosscheck, ReportTotals};
 use mp2p_rpcc::{Strategy, World, WorldConfig};
 use mp2p_sim::SimDuration;
 use mp2p_trace::span::SpanOutcome;
-use mp2p_trace::{JsonlSink, JOURNAL_KINDS_V3};
+use mp2p_trace::{EventKind, JsonlSink, JOURNAL_SCHEMA};
 
 #[test]
 fn traced_run_spans_match_the_report_exactly() {
@@ -27,7 +27,7 @@ fn traced_run_spans_match_the_report_exactly() {
     ));
     let mut world = World::new(cfg);
     world.set_tracer(Box::new(
-        JsonlSink::create_v3_with_warmup(&path, warmup).expect("temp journal"),
+        JsonlSink::create_v4_with_warmup(&path, warmup).expect("temp journal"),
     ));
     let (report, tracer) = world.run_traced();
     let jsonl = tracer
@@ -40,9 +40,8 @@ fn traced_run_spans_match_the_report_exactly() {
     std::fs::remove_file(&path).ok();
 
     assert_eq!(analysis.header.warmup_ms, warmup.as_millis());
-    // A v3 journal stamps the frozen recovery-schema vocabulary, not
-    // however many kinds this build happens to know.
-    assert_eq!(analysis.header.kinds as usize, JOURNAL_KINDS_V3);
+    assert_eq!(analysis.header.schema, JOURNAL_SCHEMA);
+    assert_eq!(analysis.header.kinds as usize, EventKind::ALL.len());
     assert_eq!(analysis.events, jsonl.records(), "no event line lost");
     assert_eq!(
         analysis.orphan_tagged, 0,

@@ -14,7 +14,7 @@ use mp2p_rpcc::{ObservatoryConfig, ProvenanceConfig, RunReport, Strategy, World,
 use mp2p_sim::SimDuration;
 use mp2p_trace::JsonlSink;
 
-/// One chaos run with observatory + provenance on, journaled at schema 4.
+/// One chaos run with observatory + provenance on, journaled.
 /// Returns the run's report and the journal path (caller removes it).
 fn chaos_run(preset: &str, seed: u64) -> (RunReport, std::path::PathBuf) {
     let mut cfg = WorldConfig::paper_default(seed);

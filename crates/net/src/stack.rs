@@ -1,6 +1,6 @@
 //! The per-node network layer: flooding + on-demand unicast routing.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use mp2p_sim::{NodeId, SimDuration, SimTime};
 
@@ -192,17 +192,19 @@ struct PendingDiscovery<M> {
 /// assert!(matches!(actions[0], NetAction::Broadcast(_)));
 /// ```
 #[derive(Debug, Clone)]
+// Lookup-only (no order-dependent iteration) and measured hot.
+#[allow(clippy::disallowed_types)]
 pub struct NetStack<M> {
     node: NodeId,
     cfg: NetConfig,
     flood_seq: u64,
     rreq_seq: u64,
-    seen_floods: HashSet<FloodId>,
+    seen_floods: std::collections::HashSet<FloodId>,
     seen_order: VecDeque<FloodId>,
-    seen_rreqs: HashSet<(NodeId, u64)>,
+    seen_rreqs: std::collections::HashSet<(NodeId, u64)>,
     rreq_order: VecDeque<(NodeId, u64)>,
-    routes: HashMap<NodeId, RouteEntry>,
-    pending: HashMap<NodeId, PendingDiscovery<M>>,
+    routes: std::collections::HashMap<NodeId, RouteEntry>,
+    pending: std::collections::HashMap<NodeId, PendingDiscovery<M>>,
     tracing: bool,
     events: Vec<NetEvent>,
 }
@@ -215,12 +217,12 @@ impl<M: Clone> NetStack<M> {
             cfg,
             flood_seq: 0,
             rreq_seq: 0,
-            seen_floods: HashSet::new(),
+            seen_floods: Default::default(),
             seen_order: VecDeque::new(),
-            seen_rreqs: HashSet::new(),
+            seen_rreqs: Default::default(),
             rreq_order: VecDeque::new(),
-            routes: HashMap::new(),
-            pending: HashMap::new(),
+            routes: Default::default(),
+            pending: Default::default(),
             tracing: false,
             events: Vec::new(),
         }

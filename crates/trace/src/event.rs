@@ -598,7 +598,7 @@ pub enum TraceEvent {
     },
     /// One tick of the consistency observatory's divergence sampler: a
     /// global snapshot of how far the cached copies have drifted from
-    /// their masters. Journal schema ≥ 2 only.
+    /// their masters.
     ConsistencySample {
         /// Cached copies holding the current master version.
         fresh_copies: u32,
@@ -618,8 +618,7 @@ pub enum TraceEvent {
         ages: [u32; AGE_BUCKETS],
     },
     /// A measured query was answered with a superseded version, with the
-    /// proximate cause the blame tracker attributed. Journal schema ≥ 2
-    /// only.
+    /// proximate cause the blame tracker attributed.
     StaleServe {
         /// The peer that got the stale answer.
         node: NodeId,
@@ -638,15 +637,14 @@ pub enum TraceEvent {
         violation: bool,
     },
     /// A rejoining node flooded its version digest to its neighbors
-    /// (recovery layer). Journal schema ≥ 3 only.
+    /// (recovery layer).
     ResyncStart {
         /// The rejoining node.
         node: NodeId,
         /// Digest entries advertised across all frames.
         items: u32,
     },
-    /// A rejoining node finished processing one resync reply. Journal
-    /// schema ≥ 3 only.
+    /// A rejoining node finished processing one resync reply.
     ResyncDone {
         /// The rejoining node.
         node: NodeId,
@@ -654,7 +652,6 @@ pub enum TraceEvent {
         stale: u32,
     },
     /// The recovery layer retransmitted an unacknowledged update.
-    /// Journal schema ≥ 3 only.
     RecoveryRetransmit {
         /// The retransmitting sender (source host).
         node: NodeId,
@@ -667,8 +664,7 @@ pub enum TraceEvent {
         /// 1-based retransmission attempt.
         attempt: u8,
     },
-    /// A delivery ACK settled a pending retransmission. Journal
-    /// schema ≥ 3 only.
+    /// A delivery ACK settled a pending retransmission.
     RecoveryAck {
         /// The sender whose retransmit entry was settled.
         node: NodeId,
@@ -680,7 +676,7 @@ pub enum TraceEvent {
         seq: u64,
     },
     /// An orphan-expiring relay handed its duty to an elected cached
-    /// neighbor instead of self-CANCELing. Journal schema ≥ 3 only.
+    /// neighbor instead of self-CANCELing.
     RelayHandover {
         /// The expiring relay that gave up the duty.
         from: NodeId,
@@ -692,7 +688,6 @@ pub enum TraceEvent {
     /// A frame entered the network: its first transmission at the origin
     /// node. `(node, frame)` is the frame's deterministic identity (the
     /// per-node monotonic counter) for every later hop and fate record.
-    /// Journal schema ≥ 4 only.
     FrameBorn {
         /// The originating node (also the frame-id namespace).
         node: NodeId,
@@ -709,7 +704,7 @@ pub enum TraceEvent {
         version: u64,
     },
     /// A frame was re-transmitted by an intermediate node (flood
-    /// re-broadcast or routed unicast forward). Journal schema ≥ 4 only.
+    /// re-broadcast or routed unicast forward).
     FrameHop {
         /// The forwarding node.
         node: NodeId,
@@ -721,8 +716,7 @@ pub enum TraceEvent {
         hops: u8,
     },
     /// A frame's life ended at one node: delivered, suppressed as a
-    /// duplicate, or dropped with the injecting fault's cause. Journal
-    /// schema ≥ 4 only.
+    /// duplicate, or dropped with the injecting fault's cause.
     FrameFate {
         /// The node where the fate occurred.
         node: NodeId,
@@ -735,7 +729,7 @@ pub enum TraceEvent {
     },
     /// A cached copy was installed or refreshed from a delivered
     /// message: the copy's lineage record, naming the carrying frame and
-    /// its hop path. Journal schema ≥ 4 only.
+    /// its hop path.
     CopyLineage {
         /// The node whose cache changed.
         node: NodeId,
@@ -834,9 +828,9 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// All kinds, for iteration and table rendering. Schema-2, schema-3
-    /// and schema-4 kinds are appended at the end so older indices stay
-    /// stable.
+    /// All kinds, for iteration and table rendering. Layer kinds
+    /// (observatory, recovery, provenance) come last, in the order the
+    /// layers were added.
     pub const ALL: [EventKind; 38] = [
         EventKind::MsgSend,
         EventKind::MsgDeliver,
@@ -934,26 +928,6 @@ impl EventKind {
     /// Inverse of [`EventKind::label`] (journal parsing).
     pub fn from_label(label: &str) -> Option<EventKind> {
         Self::ALL.into_iter().find(|k| k.label() == label)
-    }
-
-    /// The lowest journal schema whose vocabulary includes this kind.
-    /// A [`crate::JsonlSink`] writing an older schema skips the event;
-    /// a [`crate::reader::JournalReader`] of an older journal rejects
-    /// its line.
-    pub fn min_schema(self) -> u64 {
-        match self {
-            EventKind::ConsistencySample | EventKind::StaleServe => 2,
-            EventKind::ResyncStart
-            | EventKind::ResyncDone
-            | EventKind::RecoveryRetransmit
-            | EventKind::RecoveryAck
-            | EventKind::RelayHandover => 3,
-            EventKind::FrameBorn
-            | EventKind::FrameHop
-            | EventKind::FrameFate
-            | EventKind::CopyLineage => 4,
-            _ => 1,
-        }
     }
 }
 
@@ -1651,26 +1625,6 @@ pub(crate) mod tests {
         for (i, fate) in FrameFateKind::ALL.into_iter().enumerate() {
             assert_eq!(fate.index(), i);
             assert_eq!(FrameFateKind::from_label(fate.label()), Some(fate));
-        }
-    }
-
-    #[test]
-    fn schema_tiers_match_the_kind_vocabulary() {
-        for kind in EventKind::ALL {
-            let expected = match kind {
-                EventKind::ConsistencySample | EventKind::StaleServe => 2,
-                EventKind::ResyncStart
-                | EventKind::ResyncDone
-                | EventKind::RecoveryRetransmit
-                | EventKind::RecoveryAck
-                | EventKind::RelayHandover => 3,
-                EventKind::FrameBorn
-                | EventKind::FrameHop
-                | EventKind::FrameFate
-                | EventKind::CopyLineage => 4,
-                _ => 1,
-            };
-            assert_eq!(kind.min_schema(), expected, "{kind:?}");
         }
     }
 }

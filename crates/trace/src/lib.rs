@@ -66,8 +66,4 @@ pub use event::{
     BlameCause, EventKind, FrameFateKind, LevelTag, RelayTransitionKind, ServedBy, SpanPhase,
     TraceEvent,
 };
-pub use sink::{
-    JsonlSink, NullSink, RingSink, SummarySink, TeeSink, TraceSink, JOURNAL_KINDS_V1,
-    JOURNAL_KINDS_V2, JOURNAL_KINDS_V3, JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1, JOURNAL_SCHEMA_V2,
-    JOURNAL_SCHEMA_V3,
-};
+pub use sink::{JsonlSink, NullSink, RingSink, SummarySink, TeeSink, TraceSink, JOURNAL_SCHEMA};

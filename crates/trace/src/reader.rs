@@ -1,16 +1,11 @@
 //! Offline journal reading: parse a JSONL trace back into typed events.
 //!
-//! A journal written by [`crate::JsonlSink`] starts with one versioned
-//! header object (`{"schema":1,...}` or `{"schema":2,...}`) followed by
-//! one event object per line. [`JournalReader`] streams it line-by-line —
-//! it never buffers the whole file — checking the schema up front and
-//! turning each line back into a `(SimTime, TraceEvent)` pair via the
-//! label inverses (`EventKind::from_label` and friends). Parsing is
-//! version-gated: the reader accepts every schema up to
-//! [`JOURNAL_SCHEMA`], and a line whose kind post-dates the journal's
-//! declared schema (e.g. a `consistency` record in a schema-1 journal)
-//! is a [`ReadError::BadLine`], not a silently-adopted event.
-//! Serialise-then-parse is the identity on every event variant (see the
+//! A journal written by [`crate::JsonlSink`] starts with one header
+//! object (`{"schema":4,...}`) followed by one event object per line.
+//! [`JournalReader`] streams it line-by-line — it never buffers the whole
+//! file — accepting exactly [`JOURNAL_SCHEMA`] up front and turning each
+//! line back into a `(SimTime, TraceEvent)` pair via the label inverses
+//! (`EventKind::from_label` and friends). Serialise-then-parse is the identity on every event variant (see the
 //! roundtrip test).
 
 use std::fmt;
@@ -29,7 +24,7 @@ use crate::sink::JOURNAL_SCHEMA;
 /// The journal's leading metadata record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalHeader {
-    /// Schema version (between 1 and [`JOURNAL_SCHEMA`] inclusive).
+    /// Schema version (always [`JOURNAL_SCHEMA`] once validated).
     pub schema: u64,
     /// How many event kinds the writer knew about.
     pub kinds: u64,
@@ -67,7 +62,7 @@ impl fmt::Display for ReadError {
             }
             ReadError::SchemaMismatch { found } => write!(
                 f,
-                "journal schema {found} unsupported (reader speaks 1..={JOURNAL_SCHEMA})"
+                "journal schema {found} unsupported (reader speaks {JOURNAL_SCHEMA})"
             ),
             ReadError::BadLine { line_no, text } => {
                 write!(f, "unparseable journal line {line_no}: {text}")
@@ -92,7 +87,7 @@ impl From<io::Error> for ReadError {
 /// use std::io::BufReader;
 /// use mp2p_trace::reader::JournalReader;
 ///
-/// let journal = "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}\n\
+/// let journal = "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}\n\
 ///                {\"t\":1500,\"ev\":\"node_down\",\"node\":3}\n";
 /// let mut reader = JournalReader::new(BufReader::new(journal.as_bytes())).unwrap();
 /// assert_eq!(reader.header().warmup_ms, 0);
@@ -123,7 +118,7 @@ impl<R: BufRead> JournalReader<R> {
         // A non-UTF-8 first line cannot be the header object.
         let text = std::str::from_utf8(&buf).map_err(|_| ReadError::MissingHeader)?;
         let header = parse_header(text.trim_end()).ok_or(ReadError::MissingHeader)?;
-        if header.schema == 0 || header.schema > JOURNAL_SCHEMA {
+        if header.schema != JOURNAL_SCHEMA {
             return Err(ReadError::SchemaMismatch {
                 found: header.schema,
             });
@@ -172,12 +167,10 @@ impl<R: BufRead> Iterator for JournalReader<R> {
             if text.is_empty() {
                 continue; // tolerate a trailing blank line
             }
-            return Some(
-                parse_event_versioned(text, self.header.schema).ok_or_else(|| ReadError::BadLine {
-                    line_no: self.line_no,
-                    text: text.chars().take(160).collect(),
-                }),
-            );
+            return Some(parse_event(text).ok_or_else(|| ReadError::BadLine {
+                line_no: self.line_no,
+                text: text.chars().take(160).collect(),
+            }));
         }
     }
 }
@@ -193,24 +186,12 @@ fn parse_header(line: &str) -> Option<JournalHeader> {
     })
 }
 
-/// Parses one event line back into the pair `write_json` flattened,
-/// accepting the full current vocabulary. Returns `None` on any
-/// structural or vocabulary mismatch.
+/// Parses one event line back into the pair `write_json` flattened.
+/// Returns `None` on any structural or vocabulary mismatch.
 pub fn parse_event(line: &str) -> Option<(SimTime, TraceEvent)> {
-    parse_event_versioned(line, JOURNAL_SCHEMA)
-}
-
-/// Version-gated [`parse_event`]: a kind introduced after `schema` (see
-/// [`EventKind::min_schema`]) does not parse, so a schema-1 journal
-/// carrying schema-2 records is rejected line-accurately instead of
-/// silently adopted.
-pub fn parse_event_versioned(line: &str, schema: u64) -> Option<(SimTime, TraceEvent)> {
     let v = json::parse(line)?;
     let at = SimTime::from_millis(v.get("t")?.as_u64()?);
     let kind = EventKind::from_label(v.get("ev")?.as_str()?)?;
-    if kind.min_schema() > schema {
-        return None;
-    }
 
     let num = |key: &str| v.get(key).and_then(Value::as_u64);
     let node_field = |key: &str| num(key).map(|n| NodeId::new(n as u32));
@@ -530,62 +511,15 @@ mod tests {
         let zero = "{\"schema\":0}\n";
         let r = JournalReader::new(BufReader::new(zero.as_bytes()));
         assert!(matches!(r, Err(ReadError::SchemaMismatch { found: 0 })));
-    }
 
-    #[test]
-    fn both_supported_schemas_are_accepted() {
-        for schema in 1..=JOURNAL_SCHEMA {
-            let journal =
-                format!("{{\"schema\":{schema}}}\n{{\"t\":5,\"ev\":\"node_up\",\"node\":1}}\n");
-            let mut reader = JournalReader::new(BufReader::new(journal.as_bytes())).unwrap();
-            assert_eq!(reader.header().schema, schema);
-            let (at, event) = reader.next().unwrap().unwrap();
-            assert_eq!(at.as_millis(), 5);
-            assert_eq!(event.kind(), EventKind::NodeUp);
-        }
-    }
-
-    #[test]
-    fn observatory_kinds_are_version_gated() {
-        // Serialise one schema-2 record.
-        let mut line = String::new();
-        TraceEvent::StaleServe {
-            node: NodeId::new(3),
-            query: 12,
-            item: ItemId::new(1),
-            cause: BlameCause::LeaseOrphan,
-            staleness_ms: 900,
-            lag: 1,
-            violation: false,
-        }
-        .write_json(SimTime::from_millis(7), &mut line);
-
-        // In a schema-2 journal it parses back exactly.
-        let v2 = format!("{{\"schema\":2}}\n{line}\n");
-        let mut reader = JournalReader::new(BufReader::new(v2.as_bytes())).unwrap();
-        let (_, event) = reader.next().unwrap().unwrap();
-        assert_eq!(event.kind(), EventKind::StaleServe);
-
-        // In a schema-1 journal the same line is a BadLine, not an event.
-        let v1 = format!("{{\"schema\":1}}\n{line}\n");
-        let mut reader = JournalReader::new(BufReader::new(v1.as_bytes())).unwrap();
-        match reader.next().unwrap() {
-            Err(ReadError::BadLine { line_no, .. }) => assert_eq!(line_no, 2),
-            other => panic!("expected BadLine, got {other:?}"),
-        }
-
-        // The free-function gate agrees.
-        assert!(parse_event_versioned(&line, 2).is_some());
-        assert!(parse_event_versioned(&line, 1).is_none());
-        assert!(
-            parse_event(&line).is_some(),
-            "default speaks the newest schema"
-        );
+        let older = "{\"schema\":3,\"kinds\":34,\"warmup_ms\":0}\n";
+        let r = JournalReader::new(BufReader::new(older.as_bytes()));
+        assert!(matches!(r, Err(ReadError::SchemaMismatch { found: 3 })));
     }
 
     #[test]
     fn bad_lines_carry_their_line_number() {
-        let journal = "{\"schema\":1}\n{\"t\":0,\"ev\":\"node_up\",\"node\":0}\nnot json\n";
+        let journal = "{\"schema\":4}\n{\"t\":0,\"ev\":\"node_up\",\"node\":0}\nnot json\n";
         let mut reader = JournalReader::new(BufReader::new(journal.as_bytes())).unwrap();
         assert!(reader.next().unwrap().is_ok());
         match reader.next().unwrap() {

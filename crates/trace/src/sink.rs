@@ -157,48 +157,16 @@ impl TraceSink for RingSink {
     }
 }
 
-/// The newest journal schema version this build can write and read.
-/// Schema 4 added the causal-provenance kinds
+/// The journal schema version every [`JsonlSink`] writes and the
+/// [`crate::reader::JournalReader`] accepts. Schema 4 is the 38-kind
+/// vocabulary ending with the causal-provenance kinds
 /// ([`EventKind::FrameBorn`], [`EventKind::FrameHop`],
 /// [`EventKind::FrameFate`], [`EventKind::CopyLineage`]).
 pub const JOURNAL_SCHEMA: u64 = 4;
 
-/// The original journal schema: the 27-kind vocabulary of PR 3. Sinks
-/// built with the plain constructors still write it, so runs that never
-/// enable the observatory produce byte-identical journals to older
-/// builds and stay readable by older tools.
-pub const JOURNAL_SCHEMA_V1: u64 = 1;
-
-/// The (frozen) number of event kinds in the schema-1 vocabulary,
-/// stamped into v1 headers regardless of how many kinds this build knows.
-pub const JOURNAL_KINDS_V1: usize = 27;
-
-/// The consistency-observatory schema of PR 6, now frozen: the 29-kind
-/// vocabulary ending at [`EventKind::StaleServe`]. The `_v2`
-/// constructors keep writing it so observatory runs without the
-/// recovery layer stay byte-identical to what pre-recovery builds wrote.
-pub const JOURNAL_SCHEMA_V2: u64 = 2;
-
-/// The (frozen) number of event kinds in the schema-2 vocabulary.
-pub const JOURNAL_KINDS_V2: usize = 29;
-
-/// The recovery-layer schema of PR 7, now frozen: the 34-kind
-/// vocabulary ending at [`EventKind::RelayHandover`]. The `_v3`
-/// constructors keep writing it so recovery runs without provenance stay
-/// byte-identical to what pre-provenance builds wrote.
-pub const JOURNAL_SCHEMA_V3: u64 = 3;
-
-/// The (frozen) number of event kinds in the schema-3 vocabulary.
-pub const JOURNAL_KINDS_V3: usize = 34;
-
-/// Streams events as JSON Lines to a writer: one versioned header object
-/// (`{"schema":1,...}` through `{"schema":4,...}`) followed by one
-/// object per event. The plain constructors write schema 1 and silently
-/// skip any newer-schema event (see [`EventKind::min_schema`]); the
-/// `_v2` constructors write the frozen observatory schema (skipping
-/// recovery and provenance kinds); the `_v3` constructors write the
-/// frozen recovery schema (skipping provenance kinds); the `_v4`
-/// constructors write the current schema and accept everything.
+/// Streams events as JSON Lines to a writer: one header object
+/// (`{"schema":4,"kinds":38,"warmup_ms":…}`) followed by one object per
+/// event.
 ///
 /// Serialisation is hand-rolled via [`crate::json`] — the build
 /// environment has no crates.io access, so there is no serde. On an I/O
@@ -206,10 +174,8 @@ pub const JOURNAL_KINDS_V3: usize = 34;
 /// panicking mid-simulation; check [`JsonlSink::io_error`] after the run.
 pub struct JsonlSink {
     out: BufWriter<Box<dyn Write>>,
-    schema: u64,
     line: String,
     records: u64,
-    skipped: u64,
     bytes: u64,
     io_error: Option<io::Error>,
 }
@@ -224,50 +190,13 @@ impl std::fmt::Debug for JsonlSink {
 }
 
 impl JsonlSink {
-    /// Wraps an arbitrary writer. The header records a zero warm-up;
-    /// use [`JsonlSink::new_with_warmup`] when the run censors one.
-    pub fn new(writer: Box<dyn Write>) -> Self {
-        JsonlSink::new_with_warmup(writer, SimDuration::ZERO)
-    }
-
-    /// Wraps an arbitrary writer and stamps `warmup` into a **schema 1**
-    /// header so offline consumers can reproduce the run's censoring
-    /// rules. Schema-2-only events are skipped; use
-    /// [`JsonlSink::new_v2_with_warmup`] for observatory runs.
-    pub fn new_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
-        JsonlSink::with_schema(writer, warmup, JOURNAL_SCHEMA_V1)
-    }
-
-    /// Wraps an arbitrary writer with the frozen schema 2 header: the
-    /// consistency observatory's vocabulary, but not the recovery
-    /// layer's (those events are skipped). Use
-    /// [`JsonlSink::new_v3_with_warmup`] for recovery runs.
-    pub fn new_v2_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
-        JsonlSink::with_schema(writer, warmup, JOURNAL_SCHEMA_V2)
-    }
-
-    /// Wraps an arbitrary writer with the frozen schema 3 header: the
-    /// recovery layer's vocabulary, but not the provenance engine's
-    /// (those events are skipped). Use
-    /// [`JsonlSink::new_v4_with_warmup`] for provenance runs.
-    pub fn new_v3_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
-        JsonlSink::with_schema(writer, warmup, JOURNAL_SCHEMA_V3)
-    }
-
-    /// Wraps an arbitrary writer with the current (schema 4) header,
-    /// accepting the full event vocabulary including the causal
-    /// provenance kinds.
+    /// Wraps an arbitrary writer and stamps `warmup` into the header so
+    /// offline consumers can reproduce the run's censoring rules.
     pub fn new_v4_with_warmup(writer: Box<dyn Write>, warmup: SimDuration) -> Self {
-        JsonlSink::with_schema(writer, warmup, JOURNAL_SCHEMA)
-    }
-
-    fn with_schema(writer: Box<dyn Write>, warmup: SimDuration, schema: u64) -> Self {
         let mut sink = JsonlSink {
             out: BufWriter::new(writer),
-            schema,
             line: String::with_capacity(160),
             records: 0,
-            skipped: 0,
             bytes: 0,
             io_error: None,
         };
@@ -275,54 +204,21 @@ impl JsonlSink {
         sink
     }
 
-    /// Creates (truncating) `path` and streams to it (schema 1 header).
-    pub fn create(path: &Path) -> io::Result<Self> {
-        JsonlSink::create_with_warmup(path, SimDuration::ZERO)
-    }
-
-    /// Creates (truncating) `path`, stamping `warmup` into a schema 1
-    /// header (see [`JsonlSink::new_with_warmup`] for the skip rule).
-    pub fn create_with_warmup(path: &Path, warmup: SimDuration) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink::new_with_warmup(Box::new(file), warmup))
-    }
-
-    /// Creates (truncating) `path` with the frozen schema 2 header (see
-    /// [`JsonlSink::new_v2_with_warmup`] for the skip rule).
-    pub fn create_v2_with_warmup(path: &Path, warmup: SimDuration) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink::new_v2_with_warmup(Box::new(file), warmup))
-    }
-
-    /// Creates (truncating) `path` with the frozen schema 3 header (see
-    /// [`JsonlSink::new_v3_with_warmup`] for the skip rule).
-    pub fn create_v3_with_warmup(path: &Path, warmup: SimDuration) -> io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink::new_v3_with_warmup(Box::new(file), warmup))
-    }
-
-    /// Creates (truncating) `path` with the current (schema 4) header.
+    /// Creates (truncating) `path` and streams to it, stamping `warmup`
+    /// into the header.
     pub fn create_v4_with_warmup(path: &Path, warmup: SimDuration) -> io::Result<Self> {
         let file = std::fs::File::create(path)?;
         Ok(JsonlSink::new_v4_with_warmup(Box::new(file), warmup))
     }
 
-    /// Writes the versioned header line. The header is metadata, not an
-    /// event: it does not count toward [`JsonlSink::records`]. Frozen
-    /// schemas stamp their frozen kind counts so their headers stay
-    /// byte-identical to what older builds wrote.
+    /// Writes the header line. The header is metadata, not an event: it
+    /// does not count toward [`JsonlSink::records`].
     fn write_header(&mut self, warmup: SimDuration) {
-        let kinds = match self.schema {
-            JOURNAL_SCHEMA_V1 => JOURNAL_KINDS_V1,
-            JOURNAL_SCHEMA_V2 => JOURNAL_KINDS_V2,
-            JOURNAL_SCHEMA_V3 => JOURNAL_KINDS_V3,
-            _ => EventKind::ALL.len(),
-        };
         self.line.clear();
         self.line.push_str("{\"schema\":");
-        self.line.push_str(&self.schema.to_string());
+        self.line.push_str(&JOURNAL_SCHEMA.to_string());
         self.line.push_str(",\"kinds\":");
-        self.line.push_str(&kinds.to_string());
+        self.line.push_str(&EventKind::ALL.len().to_string());
         self.line.push_str(",\"warmup_ms\":");
         self.line.push_str(&warmup.as_millis().to_string());
         self.line.push_str("}\n");
@@ -332,19 +228,9 @@ impl JsonlSink {
         }
     }
 
-    /// The schema version this sink's header declares.
-    pub fn schema(&self) -> u64 {
-        self.schema
-    }
-
     /// Event lines successfully written so far (header excluded).
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// Events dropped because their kind post-dates this sink's schema.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
     }
 
     /// The first I/O error hit, if any (writing stops after it).
@@ -361,10 +247,6 @@ impl JsonlSink {
 impl TraceSink for JsonlSink {
     fn record(&mut self, at: SimTime, event: &TraceEvent) {
         if self.io_error.is_some() {
-            return;
-        }
-        if event.kind().min_schema() > self.schema {
-            self.skipped += 1;
             return;
         }
         self.line.clear();
@@ -601,94 +483,9 @@ mod tests {
         sink.flush();
         assert!(sink.io_error().is_none());
         assert_eq!(n, crate::event::tests::samples().len() as u64);
-        assert_eq!(sink.skipped(), 0, "a v4 sink accepts the full vocabulary");
         // The writer is boxed away; serialisation itself is validated in
         // the event module, and the end-to-end file path is covered by
         // the world-level tests.
-    }
-
-    #[test]
-    fn v2_sink_keeps_frozen_header_and_skips_recovery_kinds() {
-        let buf: Vec<u8> = Vec::new();
-        let mut sink = JsonlSink::new_v2_with_warmup(Box::new(buf), SimDuration::ZERO);
-        assert_eq!(sink.schema(), JOURNAL_SCHEMA_V2);
-        let v3_only: u64 = crate::event::tests::samples()
-            .iter()
-            .filter(|e| e.kind().min_schema() > JOURNAL_SCHEMA_V2)
-            .count() as u64;
-        assert!(v3_only > 0, "samples must cover schema-3 kinds");
-        for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
-            sink.record(SimTime::from_millis(i as u64), &event);
-        }
-        sink.flush();
-        assert!(sink.io_error().is_none());
-        assert_eq!(sink.skipped(), v3_only);
-        assert_eq!(
-            sink.records(),
-            crate::event::tests::samples().len() as u64 - v3_only
-        );
-    }
-
-    #[test]
-    fn v3_sink_keeps_frozen_header_and_skips_provenance_kinds() {
-        let buf: Vec<u8> = Vec::new();
-        let mut sink = JsonlSink::new_v3_with_warmup(Box::new(buf), SimDuration::ZERO);
-        assert_eq!(sink.schema(), JOURNAL_SCHEMA_V3);
-        let v4_only: u64 = crate::event::tests::samples()
-            .iter()
-            .filter(|e| e.kind().min_schema() > JOURNAL_SCHEMA_V3)
-            .count() as u64;
-        assert!(v4_only > 0, "samples must cover schema-4 kinds");
-        for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
-            sink.record(SimTime::from_millis(i as u64), &event);
-        }
-        sink.flush();
-        assert!(sink.io_error().is_none());
-        assert_eq!(sink.skipped(), v4_only);
-        assert_eq!(
-            sink.records(),
-            crate::event::tests::samples().len() as u64 - v4_only
-        );
-    }
-
-    #[test]
-    fn v1_sink_keeps_legacy_header_and_skips_observatory_kinds() {
-        let path = std::env::temp_dir().join(format!(
-            "mp2p-trace-sink-v1-test-{}.jsonl",
-            std::process::id()
-        ));
-        let v2_only: u64 = crate::event::tests::samples()
-            .iter()
-            .filter(|e| e.kind().min_schema() > JOURNAL_SCHEMA_V1)
-            .count() as u64;
-        assert!(v2_only > 0, "samples must cover schema-2 kinds");
-        {
-            let mut sink = JsonlSink::create(&path).expect("create temp jsonl");
-            assert_eq!(sink.schema(), JOURNAL_SCHEMA_V1);
-            for (i, event) in crate::event::tests::samples().into_iter().enumerate() {
-                sink.record(SimTime::from_millis(i as u64), &event);
-            }
-            sink.flush();
-            assert!(sink.io_error().is_none());
-            assert_eq!(sink.skipped(), v2_only);
-        }
-        let contents = std::fs::read_to_string(&path).expect("read back");
-        std::fs::remove_file(&path).ok();
-        let lines: Vec<&str> = contents.lines().collect();
-        // The header is byte-identical to what pre-observatory builds
-        // wrote: schema 1 with the frozen 27-kind count.
-        assert_eq!(lines[0], "{\"schema\":1,\"kinds\":27,\"warmup_ms\":0}");
-        assert_eq!(
-            lines.len() as u64,
-            crate::event::tests::samples().len() as u64 - v2_only + 1
-        );
-        for line in &lines[1..] {
-            assert!(
-                !line.contains("\"ev\":\"consistency\"")
-                    && !line.contains("\"ev\":\"stale_serve\""),
-                "v1 journal must not carry schema-2 kinds: {line}"
-            );
-        }
     }
 
     #[test]
@@ -777,12 +574,7 @@ mod tests {
         let lines: Vec<&str> = contents.lines().collect();
         // Header line + one line per event.
         assert_eq!(lines.len(), crate::event::tests::samples().len() + 1);
-        assert!(
-            lines[0].starts_with("{\"schema\":4,"),
-            "bad header: {}",
-            lines[0]
-        );
-        assert!(lines[0].contains("\"warmup_ms\":0"));
+        assert_eq!(lines[0], "{\"schema\":4,\"kinds\":38,\"warmup_ms\":0}");
         for line in lines {
             assert!(json::is_valid(line), "bad line: {line}");
         }
@@ -792,7 +584,7 @@ mod tests {
     #[test]
     fn jsonl_header_carries_warmup_and_is_not_a_record() {
         let buf: Vec<u8> = Vec::new();
-        let mut sink = JsonlSink::new_with_warmup(Box::new(buf), SimDuration::from_secs(60));
+        let mut sink = JsonlSink::new_v4_with_warmup(Box::new(buf), SimDuration::from_secs(60));
         assert_eq!(sink.records(), 0);
         sink.record(SimTime::from_millis(5), &send(0, MessageClass::Poll, 48));
         sink.flush();

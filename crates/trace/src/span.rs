@@ -11,7 +11,7 @@
 //! [`QuerySpan`] per query, each with per-phase sim-time durations and
 //! a computed critical path.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mp2p_metrics::MessageClass;
 use mp2p_sim::{ItemId, NodeId, SimDuration, SimTime};
@@ -172,7 +172,7 @@ impl QuerySpan {
 /// query id.
 #[derive(Debug, Default)]
 pub struct SpanAssembler {
-    spans: HashMap<u64, QuerySpan>,
+    spans: BTreeMap<u64, QuerySpan>,
     /// `MsgSend`/`MsgDeliver` events carrying a span tag for a query
     /// whose `QueryIssued` was never seen (truncated journal).
     pub orphan_tagged: u64,
@@ -270,9 +270,7 @@ impl SpanAssembler {
 
     /// Returns the assembled spans, sorted by query id.
     pub fn finish(self) -> Vec<QuerySpan> {
-        let mut spans: Vec<QuerySpan> = self.spans.into_values().collect();
-        spans.sort_by_key(|s| s.query);
-        spans
+        self.spans.into_values().collect()
     }
 }
 

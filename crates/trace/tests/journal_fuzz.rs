@@ -10,11 +10,12 @@
 use std::io::BufReader;
 
 use mp2p_trace::reader::{JournalReader, ReadError};
+use mp2p_trace::JOURNAL_SCHEMA;
 use proptest::prelude::*;
 
-/// A well-formed header for the schema this reader speaks.
-fn header(schema: u64) -> String {
-    format!("{{\"schema\":{schema},\"kinds\":27,\"warmup_ms\":60000}}")
+/// A well-formed header declaring `schema`.
+fn header_for(schema: u64) -> String {
+    format!("{{\"schema\":{schema},\"kinds\":38,\"warmup_ms\":60000}}")
 }
 
 /// One well-formed event line, drawn from a handful of real shapes.
@@ -38,7 +39,7 @@ fn valid_line() -> impl Strategy<Value = String> {
     ]
 }
 
-/// One well-formed recovery-layer event line (schema-3 kinds).
+/// One well-formed recovery-layer event line.
 fn valid_v3_line() -> impl Strategy<Value = String> {
     let t = 0u64..500_000;
     let node = 0u64..64;
@@ -63,7 +64,7 @@ fn valid_v3_line() -> impl Strategy<Value = String> {
     ]
 }
 
-/// One well-formed provenance event line (schema-4 kinds), fate labels
+/// One well-formed provenance event line, fate labels
 /// drawn from the real [`mp2p_trace::FrameFateKind`] set.
 fn valid_v4_line() -> impl Strategy<Value = String> {
     let t = 0u64..500_000;
@@ -102,15 +103,20 @@ fn valid_v4_line() -> impl Strategy<Value = String> {
     ]
 }
 
-/// Assembles header + event lines into journal bytes.
-fn journal(schema: u64, lines: &[String]) -> Vec<u8> {
-    let mut bytes = header(schema).into_bytes();
+/// Assembles a `schema` header + event lines into journal bytes.
+fn journal_for(schema: u64, lines: &[String]) -> Vec<u8> {
+    let mut bytes = header_for(schema).into_bytes();
     bytes.push(b'\n');
     for line in lines {
         bytes.extend_from_slice(line.as_bytes());
         bytes.push(b'\n');
     }
     bytes
+}
+
+/// Assembles a current-schema journal.
+fn journal(lines: &[String]) -> Vec<u8> {
+    journal_for(JOURNAL_SCHEMA, lines)
 }
 
 /// Drains a reader, panicking only on a reader panic — errors are data.
@@ -126,7 +132,7 @@ proptest! {
     fn valid_journals_parse_completely(
         lines in proptest::collection::vec(valid_line(), 0..40),
     ) {
-        let bytes = journal(1, &lines);
+        let bytes = journal(&lines);
         let mut reader = JournalReader::new(BufReader::new(bytes.as_slice())).unwrap();
         let items = drain(&mut reader);
         prop_assert_eq!(items.len(), lines.len());
@@ -136,15 +142,15 @@ proptest! {
         prop_assert_eq!(reader.lines_read(), lines.len() + 1);
     }
 
-    /// A schema-3 journal mixing legacy and recovery-layer kinds streams
-    /// back every line.
+    /// A journal mixing core and recovery-layer kinds streams back every
+    /// line.
     #[test]
     fn valid_v3_journals_parse_completely(
         lines in proptest::collection::vec(
             prop_oneof![valid_line(), valid_v3_line()], 0..40,
         ),
     ) {
-        let bytes = journal(3, &lines);
+        let bytes = journal(&lines);
         let mut reader = JournalReader::new(BufReader::new(bytes.as_slice())).unwrap();
         let items = drain(&mut reader);
         prop_assert_eq!(items.len(), lines.len());
@@ -153,49 +159,20 @@ proptest! {
         }
     }
 
-    /// A schema-4 journal mixing all four schema tiers streams back
-    /// every line.
+    /// A journal mixing core, recovery-layer and provenance kinds
+    /// streams back every line.
     #[test]
     fn valid_v4_journals_parse_completely(
         lines in proptest::collection::vec(
             prop_oneof![valid_line(), valid_v3_line(), valid_v4_line()], 0..40,
         ),
     ) {
-        let bytes = journal(4, &lines);
+        let bytes = journal(&lines);
         let mut reader = JournalReader::new(BufReader::new(bytes.as_slice())).unwrap();
         let items = drain(&mut reader);
         prop_assert_eq!(items.len(), lines.len());
         for item in &items {
             prop_assert!(item.is_ok(), "unexpected error: {:?}", item.as_ref().err());
-        }
-    }
-
-    /// Newer-schema kinds inside an old journal are line errors, not
-    /// panics and not silent successes: a schema-1 header promises no
-    /// recovery or provenance records, so each such line must surface
-    /// as a `BadLine` while the legacy lines around it still parse.
-    #[test]
-    fn newer_kinds_in_an_old_journal_are_bad_lines(
-        old in proptest::collection::vec(valid_line(), 0..10),
-        newer in prop_oneof![valid_v3_line(), valid_v4_line()],
-    ) {
-        let mut lines = old.clone();
-        lines.push(newer);
-        let bytes = journal(1, &lines);
-        let mut reader = JournalReader::new(BufReader::new(bytes.as_slice())).unwrap();
-        let items = drain(&mut reader);
-        prop_assert_eq!(items.len(), lines.len());
-        for (i, item) in items.iter().enumerate() {
-            if i == old.len() {
-                match item {
-                    Err(ReadError::BadLine { line_no, .. }) => {
-                        prop_assert_eq!(*line_no, old.len() + 2);
-                    }
-                    other => prop_assert!(false, "expected BadLine, got {other:?}"),
-                }
-            } else {
-                prop_assert!(item.is_ok(), "legacy line {i} failed: {:?}", item.as_ref().err());
-            }
         }
     }
 
@@ -206,10 +183,10 @@ proptest! {
         lines in proptest::collection::vec(valid_line(), 1..20),
         cut_frac in 0.0f64..1.0,
     ) {
-        let bytes = journal(1, &lines);
+        let bytes = journal(&lines);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         let cut_bytes = &bytes[..cut];
-        let header_len = header(1).len() + 1;
+        let header_len = header_for(JOURNAL_SCHEMA).len() + 1;
         match JournalReader::new(BufReader::new(cut_bytes)) {
             Err(e) => {
                 // Losing part of the header line is the only legal
@@ -238,16 +215,16 @@ proptest! {
         }
     }
 
-    /// Any schema outside the supported 1..=JOURNAL_SCHEMA range is
-    /// refused up front, echoing the version it found.
+    /// Any schema other than `JOURNAL_SCHEMA` is refused up front,
+    /// echoing the version it found.
     #[test]
     fn wrong_schema_is_refused(
         schema in 0u64..50,
         lines in proptest::collection::vec(valid_line(), 0..5),
     ) {
-        let bytes = journal(schema, &lines);
+        let bytes = journal_for(schema, &lines);
         let result = JournalReader::new(BufReader::new(bytes.as_slice()));
-        if (1..=mp2p_trace::JOURNAL_SCHEMA).contains(&schema) {
+        if schema == JOURNAL_SCHEMA {
             prop_assert!(result.is_ok());
         } else {
             match result {
@@ -266,7 +243,7 @@ proptest! {
         garbage in proptest::collection::vec(0x80u8..0xc0, 1..16),
     ) {
         // Continuation bytes with no lead byte are never valid UTF-8.
-        let mut bytes = journal(1, &before);
+        let mut bytes = journal(&before);
         bytes.extend_from_slice(&garbage);
         bytes.push(b'\n');
         for line in &after {
@@ -299,8 +276,8 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         replacement in 0u8..=255,
     ) {
-        let mut bytes = journal(1, &lines);
-        let body_start = header(1).len() + 1;
+        let mut bytes = journal(&lines);
+        let body_start = header_for(JOURNAL_SCHEMA).len() + 1;
         let pos = body_start
             + (((bytes.len() - body_start) as f64) * pos_frac) as usize;
         let pos = pos.min(bytes.len() - 1);

@@ -3,7 +3,7 @@
 //! *exactly* with the run's own metrics, and the JSONL journal must be
 //! well-formed line-parseable JSON.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use mp2p::metrics::MessageClass;
 use mp2p::rpcc::{Strategy, World, WorldConfig};
@@ -99,9 +99,9 @@ fn hop_counts_respect_ttl_budgets() {
 #[test]
 fn queries_never_serve_after_failing() {
     let (report, events) = run_with_ring(13);
-    let mut failed: HashSet<u64> = HashSet::new();
-    let mut served: HashSet<u64> = HashSet::new();
-    let mut issued: HashSet<u64> = HashSet::new();
+    let mut failed: BTreeSet<u64> = BTreeSet::new();
+    let mut served: BTreeSet<u64> = BTreeSet::new();
+    let mut issued: BTreeSet<u64> = BTreeSet::new();
     for (_, ev) in &events {
         match ev {
             TraceEvent::QueryIssued { query, .. } => {
